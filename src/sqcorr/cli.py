@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Every subcommand writes its outputs plus a provenance.json (config hash,
-seed, library versions, histogram backend) into the --out directory, so a
+seed, library versions) into the --out directory, so a
 result can always be traced back to the exact inputs that produced it. No
 timestamps go into outputs: rerunning with the same config and seed must
 give byte-identical files.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +22,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._backend import BACKEND
 from .analysis import csi_r, extract_g2, extract_g3
 from .constants import DEFAULT_REP_RATE_HZ
 from .estimation import (
@@ -42,7 +41,7 @@ from .exceptions import (
     TruncationError,
 )
 from .histograms import (
-    DEFAULT_BIN2D_PS,
+    BIN2D_PER_PERIOD,
     DEFAULT_BIN_PS,
     coincidence_histogram_2,
     coincidence_histogram_3,
@@ -126,8 +125,6 @@ def _write_provenance(ctx: click.Context, command: str, outputs: list[str]) -> N
         "command": command,
         "config_sha256": obj["config_sha256"],
         "seed": obj["seed"],
-        "threads": obj["threads"],
-        "backend": BACKEND,
         "outputs": sorted(outputs),
         "versions": {
             "sqcorr": __version__,
@@ -193,16 +190,10 @@ def _optics_from_config(cfg: dict, n_pulses: int | None) -> OpticsConfig:
               help="Seed for all stochastic steps.")
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               show_default=True, help="Output directory.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="BLAS/OpenMP thread cap.")
 @click.version_option(version=__version__)
 @click.pass_context
-def main(ctx, config_path, seed, out, threads):
+def main(ctx, config_path, seed, out):
     """Broadband photon-correlation simulator and analysis pipeline."""
-    if threads < 1:
-        _fail(EXIT_CONFIG, f"threads must be >= 1, got {threads}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx.obj = {
@@ -210,7 +201,6 @@ def main(ctx, config_path, seed, out, threads):
         "config_sha256": _config_sha256(config_path),
         "seed": seed,
         "out": out_dir,
-        "threads": threads,
     }
 
 
@@ -242,9 +232,23 @@ def simulate(ctx, n_pulses, as_csv):
                f"{sidecar['n_pulses']} pulses)")
 
 
+def _period_ps(ctx: click.Context, rep_rate_hz: float | None) -> float:
+    """Pulse period from --rep-rate-hz, else optics.rep_rate_hz in the config."""
+    if rep_rate_hz is None:
+        try:
+            rep_rate_hz = float(ctx.obj["config"].get("optics", {}).get(
+                "rep_rate_hz", DEFAULT_REP_RATE_HZ))
+        except (AttributeError, TypeError, ValueError) as e:
+            _fail(EXIT_CONFIG, f"bad optics config: {e!r}")
+    if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0.0):
+        _fail(EXIT_CONFIG, f"rep_rate_hz must be > 0, got {rep_rate_hz}")
+    return 1e12 / rep_rate_hz
+
+
 def _hist_options(fn):
-    fn = click.option("--rep-rate-hz", type=float, default=DEFAULT_REP_RATE_HZ,
-                      show_default=True)(fn)
+    fn = click.option("--rep-rate-hz", type=float, default=None,
+                      help="Pulse repetition rate [default: optics.rep_rate_hz "
+                           f"from the config, else {DEFAULT_REP_RATE_HZ:g}].")(fn)
     fn = click.option("--range-ps", type=float, default=None,
                       help="Half-width of the delay window.")(fn)
     return fn
@@ -260,7 +264,7 @@ def _hist_options(fn):
 @_guarded
 def analyze_g2(ctx, tagfile, channel_a, channel_b, bin_ps, range_ps, rep_rate_hz):
     """Histogram two channels and extract satellite-normalized g2(0)."""
-    period = 1e12 / rep_rate_hz
+    period = _period_ps(ctx, rep_rate_hz)
     tags = load_tags(tagfile)
     hist = coincidence_histogram_2(tags, channel_a, channel_b, bin_ps, range_ps,
                                    period_ps=period)
@@ -280,14 +284,17 @@ def analyze_g2(ctx, tagfile, channel_a, channel_b, bin_ps, range_ps, rep_rate_hz
 @click.option("--channel-a", type=int, default=0, show_default=True)
 @click.option("--channel-b", type=int, default=1, show_default=True)
 @click.option("--channel-c", type=int, default=2, show_default=True)
-@click.option("--bin-ps", type=int, default=DEFAULT_BIN2D_PS, show_default=True)
+@click.option("--bin-ps", type=int, default=None,
+              help=f"Bin width [default: pulse period / {BIN2D_PER_PERIOD}].")
 @_hist_options
 @click.pass_context
 @_guarded
 def analyze_g3(ctx, tagfile, channel_a, channel_b, channel_c, bin_ps, range_ps,
                rep_rate_hz):
     """2D-histogram three channels and extract g3(0)."""
-    period = 1e12 / rep_rate_hz
+    period = _period_ps(ctx, rep_rate_hz)
+    if bin_ps is None:
+        bin_ps = int(period / BIN2D_PER_PERIOD)
     tags = load_tags(tagfile)
     hist = coincidence_histogram_3(tags, channel_a, channel_b, channel_c, bin_ps,
                                    range_ps, period_ps=period)
@@ -315,7 +322,7 @@ def analyze_g3(ctx, tagfile, channel_a, channel_b, channel_c, bin_ps, range_ps,
 @_guarded
 def csi(ctx, tagfile, beam_i, beam_j, arms, bin_ps, range_ps, rep_rate_hz):
     """Cauchy-Schwarz test R = g2_ij^2 / (g2_ii g2_jj) between two beams."""
-    period = 1e12 / rep_rate_hz
+    period = _period_ps(ctx, rep_rate_hz)
     tags = load_tags(tagfile)
     ci, cj = beam_i * arms, beam_j * arms
 

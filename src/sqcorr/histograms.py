@@ -2,10 +2,13 @@
 
 Delays are binned into an odd number of bins centered on integer multiples of
 the bin width, so the zero-delay peak and every satellite peak sit on a bin
-center. Anchors are processed in chunks to bound memory; partial histograms
-add, so the result is independent of the chunk size. Streams too large for
-memory would chunk both channels with overlap equal to the window; the reader
-here holds channels in memory, so anchor chunking alone is exact.
+center: the window lower edge is lo_edge = -(nbins//2 * bin + bin//2), and a
+delay d in [lo_edge, lo_edge + nbins*bin) falls in bin (d - lo_edge) // bin.
+Anchors are processed in chunks, and triples in batches of anchors, to bound
+memory; partial histograms add, so the result is independent of either size.
+Streams too large for memory would chunk both channels with overlap equal to
+the window; the reader here holds channels in memory, so anchor chunking alone
+is exact.
 """
 from __future__ import annotations
 
@@ -13,16 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .constants import LASER_PERIOD_PS
 from .exceptions import EmptyChannelError, InvalidParameterError
 from .tags import TagStream
 
 DEFAULT_BIN_PS = 100
 DEFAULT_WINDOW_PERIODS = 25
-DEFAULT_BIN2D_PS = int(LASER_PERIOD_PS / 26)
+BIN2D_PER_PERIOD = 26
+DEFAULT_BIN2D_PS = int(LASER_PERIOD_PS / BIN2D_PER_PERIOD)
 DEFAULT_WINDOW2D_PERIODS = 4
 _CHUNK_ANCHORS = 1 << 20
+_CHUNK_TRIPLES = 1 << 20
 
 
 @dataclass
@@ -62,6 +66,57 @@ class Histogram2D:
     def bin_centers(self) -> np.ndarray:
         half = self.nbins // 2
         return (np.arange(self.nbins, dtype=np.int64) - half) * self.bin_width_ps
+
+
+def _lo_edge(bin_ps: int, nbins: int) -> int:
+    return -((nbins // 2) * bin_ps + bin_ps // 2)
+
+
+def _windows(anchors: np.ndarray, partners: np.ndarray, lo_edge: int, hi_excl: int):
+    """First partner index and partner count in each anchor's window [lo_edge, hi_excl)."""
+    lo = np.searchsorted(partners, anchors + lo_edge, side="left")
+    hi = np.searchsorted(partners, anchors + hi_excl, side="left")
+    return lo, hi - lo
+
+
+def _expand(lo: np.ndarray, m: np.ndarray):
+    """Flatten windows [lo[i], lo[i] + m[i]) into (window i, member index) pairs."""
+    owner = np.repeat(np.arange(lo.size), m)
+    member = np.arange(owner.size) - np.repeat(np.cumsum(m) - m - lo, m)
+    return owner, member
+
+
+def _hist1d(ta: np.ndarray, tb: np.ndarray, bin_ps: int, nbins: int) -> np.ndarray:
+    """Counts of delays tb - ta per bin, over every (anchor, partner) pair in the window."""
+    lo_edge = _lo_edge(bin_ps, nbins)
+    anchor, partner = _expand(*_windows(ta, tb, lo_edge, lo_edge + nbins * bin_ps))
+    k = (tb[partner] - ta[anchor] - lo_edge) // bin_ps
+    return np.bincount(k, minlength=nbins)
+
+
+def _hist2d(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, bin_ps: int,
+            nbins: int) -> np.ndarray:
+    """Counts of (t1 - t0, t2 - t0) per 2D bin, over every triple in the window."""
+    lo_edge = _lo_edge(bin_ps, nbins)
+    hi_excl = lo_edge + nbins * bin_ps
+    lo1, m1 = _windows(t0, t1, lo_edge, hi_excl)
+    lo2, m2 = _windows(t0, t2, lo_edge, hi_excl)
+    # anchors with no t2 partner form no triple, so their t1 pairs are never made
+    m1[m2 == 0] = 0
+    # the expanded arrays grow with the triple count, not the anchor count, so
+    # anchors go in batches of about _CHUNK_TRIPLES triples each
+    ends = np.cumsum(m1 * m2)
+    cuts = np.searchsorted(ends, np.arange(_CHUNK_TRIPLES, ends[-1], _CHUNK_TRIPLES),
+                           side="right").tolist()
+    counts = np.zeros(nbins * nbins, dtype=np.int64)
+    for s, e in zip([0, *cuts], [*cuts, t0.size]):
+        anchor, j1 = _expand(lo1[s:e], m1[s:e])
+        anchor += s
+        k1 = (t1[j1] - t0[anchor] - lo_edge) // bin_ps
+        pair, j2 = _expand(lo2[anchor], m2[anchor])
+        k2 = (t2[j2] - t0[anchor[pair]] - lo_edge) // bin_ps
+        counts += np.bincount(k1[pair] * nbins + k2, minlength=nbins * nbins)
+    return counts.reshape(nbins, nbins)
 
 
 def _check_bin(bin_width_ps: int, period_ps: float) -> None:
@@ -111,7 +166,7 @@ def coincidence_histogram_2(
     nbins = _nbins(range_ps, bin_width_ps)
     counts = np.zeros(nbins, dtype=np.int64)
     for s in range(0, ta.size, chunk_anchors):
-        counts += _backend.hist1d(ta[s : s + chunk_anchors], tb, bin_width_ps, nbins)
+        counts += _hist1d(ta[s : s + chunk_anchors], tb, bin_width_ps, nbins)
     return Histogram1D(bin_width_ps, counts, _acquisition_s((ta, tb)))
 
 
@@ -136,7 +191,7 @@ def coincidence_histogram_3(
     nbins = _nbins(range_ps, bin_width_ps)
     counts = np.zeros((nbins, nbins), dtype=np.int64)
     for s in range(0, t0.size, chunk_anchors):
-        counts += _backend.hist2d(t0[s : s + chunk_anchors], t1, t2, bin_width_ps, nbins)
+        counts += _hist2d(t0[s : s + chunk_anchors], t1, t2, bin_width_ps, nbins)
     return Histogram2D(bin_width_ps, counts, _acquisition_s((t0, t1, t2)))
 
 

@@ -43,7 +43,7 @@ def test_simulate_writes_tags_and_provenance(runner, tmp_path):
     prov = json.loads((out / "provenance.json").read_text())
     assert prov["command"] == "simulate"
     assert prov["seed"] == 11
-    assert prov["backend"] in ("cython", "numpy")
+    assert "backend" not in prov and "threads" not in prov
     assert len(prov["config_sha256"]) == 64
 
 
@@ -83,6 +83,34 @@ def test_analyze_g2_pipeline(runner, tmp_path):
     assert est["value"] == pytest.approx(2.0, abs=0.4)
     assert est["n_satellites_used"] >= 10
     assert (out / "g2_histogram.csv").exists()
+
+
+def test_analysis_takes_rep_rate_from_config(runner, tmp_path):
+    cfg = dict(THERMAL_CONFIG, optics=dict(THERMAL_CONFIG["optics"], rep_rate_hz=25e6))
+    out = _simulate(runner, tmp_path, cfg=cfg)
+    config = _write_config(tmp_path, cfg)
+    estimates = []
+    for flag in ([], ["--rep-rate-hz", "25e6"]):
+        res = runner.invoke(
+            main,
+            ["--config", config, "--out", str(out), "analyze-g2", str(out / "tags.bin")]
+            + flag,
+        )
+        assert res.exit_code == 0, res.output
+        estimates.append((out / "g2_estimate.json").read_bytes())
+    assert estimates[0] == estimates[1]
+
+
+@pytest.mark.parametrize("rate, flag", [(0.0, []), (25e6, ["--rep-rate-hz", "-1"])])
+def test_nonpositive_rep_rate_exits_2(runner, tmp_path, rate, flag):
+    out = _simulate(runner, tmp_path)
+    cfg = dict(THERMAL_CONFIG, optics=dict(THERMAL_CONFIG["optics"], rep_rate_hz=rate))
+    res = runner.invoke(
+        main,
+        ["--config", _write_config(tmp_path, cfg), "--out", str(out), "csi",
+         str(out / "tags.bin")] + flag,
+    )
+    assert res.exit_code == EXIT_CONFIG
 
 
 def test_analyze_g3_pipeline(runner, tmp_path):

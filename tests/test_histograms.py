@@ -1,4 +1,4 @@
-"""Coincidence histogramming: kernel parity, binning convention, defaults."""
+"""Coincidence histogramming: brute-force parity, binning convention, defaults."""
 import numpy as np
 import pytest
 
@@ -9,12 +9,9 @@ from sqcorr import (
     TagStream,
     coincidence_histogram_2,
     coincidence_histogram_3,
+    histograms,
 )
-from sqcorr import _kernels_py
-from sqcorr._backend import BACKEND
 from sqcorr.histograms import histogram2d_to_csv, histogram_to_csv
-
-cy = pytest.importorskip("sqcorr._kernels_cy")
 
 
 def _stream(*channels):
@@ -22,40 +19,96 @@ def _stream(*channels):
     return TagStream(channel_count=len(arrs), by_channel=arrs)
 
 
-def test_compiled_backend_active():
-    assert BACKEND == "cython"
+def _bin_index(delays, bin_ps, nbins):
+    """Bin of each delay under the documented contract, -1 outside the window."""
+    lo_edge = -((nbins // 2) * bin_ps + bin_ps // 2)
+    inside = (delays >= lo_edge) & (delays < lo_edge + nbins * bin_ps)
+    return np.where(inside, (delays - lo_edge) // bin_ps, -1)
+
+
+def _brute_hist1d(ta, tb, bin_ps, nbins):
+    k = _bin_index(tb[None, :] - ta[:, None], bin_ps, nbins).ravel()
+    return np.bincount(k[k >= 0], minlength=nbins)
+
+
+def _brute_hist2d(t0, t1, t2, bin_ps, nbins):
+    counts = np.zeros((nbins, nbins), dtype=np.int64)
+    for t in t0:
+        k1 = _bin_index(t1 - t, bin_ps, nbins)
+        k2 = _bin_index(t2 - t, bin_ps, nbins)
+        np.add.at(counts, (k1[k1 >= 0][:, None], k2[k2 >= 0][None, :]), 1)
+    return counts
+
+
+def _hist2(ta, tb, bin_ps, nbins):
+    # range (nbins//2)*bin + bin//2 gives exactly nbins bins; the period is any
+    # multiple of the bin, which only the divisibility check reads
+    return coincidence_histogram_2(_stream(ta, tb), 0, 1, bin_ps,
+                                   (nbins // 2) * bin_ps + bin_ps // 2,
+                                   period_ps=10.0 * bin_ps).counts
+
+
+def _hist3(t0, t1, t2, bin_ps, nbins):
+    return coincidence_histogram_3(_stream(t0, t1, t2), 0, 1, 2, bin_ps,
+                                   (nbins // 2) * bin_ps + bin_ps // 2,
+                                   period_ps=10.0 * bin_ps).counts
+
+
+def _grid_times(rng, n, step):
+    """Sorted times on a grid of half a bin, so delays often sit on bin edges."""
+    return np.sort(rng.integers(0, 4 * 10**4, n)) * step
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("nbins", [3, 51, 501])
-def test_hist1d_backend_parity(seed, nbins):
+@pytest.mark.parametrize("nbins", [1, 3, 51, 501])
+def test_hist1d_matches_brute_force(seed, nbins):
     rng = np.random.default_rng(seed)
-    ta = np.sort(rng.integers(-10**7, 10**7, 4000)).astype(np.int64)
-    tb = np.sort(rng.integers(-10**7, 10**7, 5000)).astype(np.int64)
-    a = _kernels_py.hist1d(ta, tb, 100, nbins)
-    b = cy.hist1d(ta, tb, 100, nbins)
-    np.testing.assert_array_equal(a, b)
+    ta = _grid_times(rng, 2000, 50)
+    tb = _grid_times(rng, 2500, 50)
+    np.testing.assert_array_equal(_hist2(ta, tb, 100, nbins),
+                                  _brute_hist1d(ta, tb, 100, nbins))
 
 
-@pytest.mark.parametrize("seed", [3, 4])
-@pytest.mark.parametrize("nbins", [5, 27])
-def test_hist2d_backend_parity(seed, nbins):
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("nbins", [1, 5, 27])
+def test_hist2d_matches_brute_force(seed, nbins):
     rng = np.random.default_rng(seed)
-    t0 = np.sort(rng.integers(0, 10**7, 2000)).astype(np.int64)
-    t1 = np.sort(rng.integers(0, 10**7, 2500)).astype(np.int64)
-    t2 = np.sort(rng.integers(0, 10**7, 1500)).astype(np.int64)
-    a = _kernels_py.hist2d(t0, t1, t2, 999, nbins)
-    b = cy.hist2d(t0, t1, t2, 999, nbins)
-    np.testing.assert_array_equal(a, b)
+    t0 = _grid_times(rng, 600, 500)
+    t1 = _grid_times(rng, 800, 500)
+    t2 = _grid_times(rng, 500, 500)
+    np.testing.assert_array_equal(_hist3(t0, t1, t2, 1000, nbins),
+                                  _brute_hist2d(t0, t1, t2, 1000, nbins))
 
 
-def test_anchor_chunking_invariance(rng):
-    ta = np.sort(rng.integers(0, 10**8, 3000)).astype(np.int64)
-    tb = np.sort(rng.integers(0, 10**8, 3000)).astype(np.int64)
-    tags = _stream(ta, tb)
+def test_window_edges_and_empty_windows():
+    """Delays at lo_edge and hi_excl - 1 count, lo_edge - 1 and hi_excl do not."""
+    # 3 bins of 100 ps: lo_edge = -150, hi_excl = 150
+    edges = np.array([-151, -150, 149, 150], dtype=np.int64)
+    # the middle anchor has no partner in its window, the last one has no t2 partner
+    t0 = np.array([0, 10**6, 2 * 10**6], dtype=np.int64)
+    t1 = np.concatenate([edges, 2 * 10**6 + edges])
+    t2 = edges
+    expected_1d = np.array([2, 0, 2])
+    np.testing.assert_array_equal(_hist2(t0, t1, 100, 3), expected_1d)
+    np.testing.assert_array_equal(_brute_hist1d(t0, t1, 100, 3), expected_1d)
+    expected_2d = np.outer([1, 0, 1], [1, 0, 1])
+    np.testing.assert_array_equal(_hist3(t0, t1, t2, 100, 3), expected_2d)
+    np.testing.assert_array_equal(_brute_hist2d(t0, t1, t2, 100, 3), expected_2d)
+
+
+def test_anchor_chunking_invariance(rng, monkeypatch):
+    ta, tb, tc = (np.sort(rng.integers(0, 10**8, n)).astype(np.int64)
+                  for n in (3000, 3000, 2000))
+    tags = _stream(ta, tb, tc)
     full = coincidence_histogram_2(tags, 0, 1, 100, 300_000.0)
     chunked = coincidence_histogram_2(tags, 0, 1, 100, 300_000.0, chunk_anchors=137)
     np.testing.assert_array_equal(full.counts, chunked.counts)
+    full3 = coincidence_histogram_3(tags, 0, 1, 2, range_ps=300_000.0)
+    assert full3.counts.sum() > 0
+    # small triple batches split anchors inside each anchor chunk as well
+    monkeypatch.setattr(histograms, "_CHUNK_TRIPLES", 1000)
+    chunked3 = coincidence_histogram_3(tags, 0, 1, 2, range_ps=300_000.0, chunk_anchors=137)
+    np.testing.assert_array_equal(full3.counts, chunked3.counts)
 
 
 def test_identical_streams_fill_central_bin():
