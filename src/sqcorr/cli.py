@@ -11,15 +11,16 @@ or truncation error.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 import click
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import csi_r, extract_g2, extract_g3
@@ -119,6 +120,13 @@ def _config_sha256(path: str | None) -> str | None:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+@functools.cache
+def _scipy_version() -> str:
+    # read without importing scipy; cached, as each lookup scans sys.path and
+    # would otherwise repeat for every provenance.json a process writes
+    return version("scipy")
+
+
 def _write_provenance(ctx: click.Context, command: str, outputs: list[str]) -> None:
     obj = ctx.obj
     prov = {
@@ -129,7 +137,7 @@ def _write_provenance(ctx: click.Context, command: str, outputs: list[str]) -> N
         "versions": {
             "sqcorr": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     }
@@ -232,14 +240,33 @@ def simulate(ctx, n_pulses, as_csv):
                f"{sidecar['n_pulses']} pulses)")
 
 
-def _period_ps(ctx: click.Context, rep_rate_hz: float | None) -> float:
-    """Pulse period from --rep-rate-hz, else optics.rep_rate_hz in the config."""
+_REP_RATE_FALLBACK = (
+    "optics.rep_rate_hz in the config, else optics.rep_rate_hz in the tags.json "
+    f"next to the tag file, else {DEFAULT_REP_RATE_HZ:g}"
+)
+
+
+def _rep_rate_in(cfg, where: str) -> float | None:
+    """optics.rep_rate_hz of a config or sidecar dict, or None if absent."""
+    try:
+        rate = cfg.get("optics", {}).get("rep_rate_hz")
+        return None if rate is None else float(rate)
+    except (AttributeError, TypeError, ValueError) as e:
+        _fail(EXIT_CONFIG, f"bad optics in {where}: {e!r}")
+
+
+def _period_ps(ctx: click.Context, rep_rate_hz: float | None, tagfile: str) -> float:
+    """Pulse period from --rep-rate-hz, else from _REP_RATE_FALLBACK in order."""
     if rep_rate_hz is None:
+        rep_rate_hz = _rep_rate_in(ctx.obj["config"], "config")
+    sidecar = Path(tagfile).parent / "tags.json"
+    if rep_rate_hz is None and sidecar.exists():
         try:
-            rep_rate_hz = float(ctx.obj["config"].get("optics", {}).get(
-                "rep_rate_hz", DEFAULT_REP_RATE_HZ))
-        except (AttributeError, TypeError, ValueError) as e:
-            _fail(EXIT_CONFIG, f"bad optics config: {e!r}")
+            rep_rate_hz = _rep_rate_in(json.loads(sidecar.read_bytes()), str(sidecar))
+        except (OSError, json.JSONDecodeError) as e:
+            _fail(EXIT_DATA, f"cannot read {sidecar}: {e}")
+    if rep_rate_hz is None:
+        rep_rate_hz = DEFAULT_REP_RATE_HZ
     if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0.0):
         _fail(EXIT_CONFIG, f"rep_rate_hz must be > 0, got {rep_rate_hz}")
     return 1e12 / rep_rate_hz
@@ -247,8 +274,7 @@ def _period_ps(ctx: click.Context, rep_rate_hz: float | None) -> float:
 
 def _hist_options(fn):
     fn = click.option("--rep-rate-hz", type=float, default=None,
-                      help="Pulse repetition rate [default: optics.rep_rate_hz "
-                           f"from the config, else {DEFAULT_REP_RATE_HZ:g}].")(fn)
+                      help=f"Pulse repetition rate [default: {_REP_RATE_FALLBACK}].")(fn)
     fn = click.option("--range-ps", type=float, default=None,
                       help="Half-width of the delay window.")(fn)
     return fn
@@ -264,7 +290,7 @@ def _hist_options(fn):
 @_guarded
 def analyze_g2(ctx, tagfile, channel_a, channel_b, bin_ps, range_ps, rep_rate_hz):
     """Histogram two channels and extract satellite-normalized g2(0)."""
-    period = _period_ps(ctx, rep_rate_hz)
+    period = _period_ps(ctx, rep_rate_hz, tagfile)
     tags = load_tags(tagfile)
     hist = coincidence_histogram_2(tags, channel_a, channel_b, bin_ps, range_ps,
                                    period_ps=period)
@@ -292,7 +318,7 @@ def analyze_g2(ctx, tagfile, channel_a, channel_b, bin_ps, range_ps, rep_rate_hz
 def analyze_g3(ctx, tagfile, channel_a, channel_b, channel_c, bin_ps, range_ps,
                rep_rate_hz):
     """2D-histogram three channels and extract g3(0)."""
-    period = _period_ps(ctx, rep_rate_hz)
+    period = _period_ps(ctx, rep_rate_hz, tagfile)
     if bin_ps is None:
         bin_ps = int(period / BIN2D_PER_PERIOD)
     tags = load_tags(tagfile)
@@ -322,7 +348,7 @@ def analyze_g3(ctx, tagfile, channel_a, channel_b, channel_c, bin_ps, range_ps,
 @_guarded
 def csi(ctx, tagfile, beam_i, beam_j, arms, bin_ps, range_ps, rep_rate_hz):
     """Cauchy-Schwarz test R = g2_ij^2 / (g2_ii g2_jj) between two beams."""
-    period = _period_ps(ctx, rep_rate_hz)
+    period = _period_ps(ctx, rep_rate_hz, tagfile)
     tags = load_tags(tagfile)
     ci, cj = beam_i * arms, beam_j * arms
 

@@ -27,9 +27,8 @@ from .exceptions import (
     DegenerateStateError,
     InvalidParameterError,
     NoConvergenceError,
-    TruncationError,
 )
-from .states import HyperParams, expand_hyperparams, per_mode_moments
+from .states import HyperParams, mode_moments, mode_weights
 
 PENALTY = 1e6
 
@@ -125,16 +124,11 @@ def model_curve(h: HyperParams) -> np.ndarray:
     Row k-1 describes the state truncated to the k strongest modes, so the
     output for d' < d is exactly the first d' rows.
     """
-    mom = per_mode_moments(expand_hyperparams(h))
-    m1 = np.array([m.m1 for m in mom])
-    m2 = np.array([m.m2 for m in mom])
-    m3 = np.array([m.m3 for m in mom])
-    s1 = np.cumsum(m1)
-    if np.any(s1 == 0.0):
+    h.validate()
+    m1, m2, m3 = mode_moments(h.B * mode_weights(h.mu, h.d), 0.0, h.alpha, h.n_th)
+    s1, s2, s3, p2, p3, x = np.cumsum(np.stack([m1, m2, m3, m1**2, m1**3, m2 * m1]), axis=1)
+    if s1[0] == 0.0:
         raise DegenerateStateError("vacuum prefix: g2, g3 undefined")
-    s2, s3 = np.cumsum(m2), np.cumsum(m3)
-    p2, p3 = np.cumsum(m1**2), np.cumsum(m1**3)
-    x = np.cumsum(m2 * m1)
     g2 = (s1 * s1 - p2 + s2) / (s1 * s1)
     g3 = (s1**3 - 3.0 * s1 * p2 + 2.0 * p3 + 3.0 * (s2 * s1 - x) + s3) / s1**3
     return np.column_stack([s1, g2, g3])
@@ -142,11 +136,15 @@ def model_curve(h: HyperParams) -> np.ndarray:
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares slope and intercept; NaN when x carries no spread."""
-    mx, my = x.mean(), y.mean()
-    vx = float(np.mean((x - mx) ** 2))
+    # sum()/size gives np.mean's values without its per-call dispatch, which
+    # was about half of the objective's time on 12-point curves
+    n = x.size
+    mx, my = x.sum() / n, y.sum() / n
+    dx = x - mx
+    vx = float((dx * dx).sum() / n)
     if not math.isfinite(vx) or vx <= 0.0:
         return math.nan, math.nan
-    slope = float(np.mean((x - mx) * (y - my))) / vx
+    slope = float((dx * (y - my)).sum() / n) / vx
     return slope, float(my - slope * mx)
 
 
@@ -170,7 +168,7 @@ def objective(data: list[DataSetPoint], h: HyperParams) -> float:
         raise DegenerateFitError("need at least 3 dataset points")
     try:
         curve = model_curve(h)
-    except (DegenerateStateError, TruncationError, InvalidParameterError):
+    except (DegenerateStateError, InvalidParameterError):
         return PENALTY
     if not np.all(np.isfinite(curve)):
         return PENALTY

@@ -7,7 +7,12 @@ basis; a fixed phase rotation exp(i phi N) turns i-times-the-generator into a
 real symmetric banded matrix, so each propagator is a single real banded
 eigendecomposition. The generators scale linearly with r and |alpha|, so the
 eigensystem is computed once per truncation dimension at unit strength and
-rescaled, which makes repeated evaluations (fits, parameter scans) cheap.
+rescaled.
+
+This oracle is the test certificate for the closed-form moments in the states
+module: it builds the state literally instead of assuming Gaussian pairing, so
+tests check m1, m2, m3 and the broadband combination against it. The runtime
+moment path does not call it.
 
 Normally ordered moments <a^+n a^n> come from the number diagonal with falling
 factorial weights. Truncation is adaptive: the dimension doubles until the
@@ -33,6 +38,10 @@ R_FLOOR = 1e-12
 MOMENT_ABS_FLOOR = 1e-18
 
 _THERMAL_COLUMN_CUTOFF = 1e-22
+
+# photon_number_pmf doubles its dimension up to this; a diagonal not yet
+# stable there raises TruncationError
+PMF_DIM_CEILING = 1 << 14
 
 
 def thermal_pmf(n_th: float, dim: int) -> np.ndarray:
@@ -177,6 +186,9 @@ def photon_number_pmf(mode: ModeParams, max_n: int) -> np.ndarray:
 
     The diagonal is computed at an adaptively converged dimension and then cut
     at max_n; the cut tail is folded back in by the renormalization.
+
+    Raises TruncationError if the diagonal is not stable on doubling below
+    PMF_DIM_CEILING.
     """
     mode.validate()
     if max_n < 0:
@@ -187,8 +199,10 @@ def photon_number_pmf(mode: ModeParams, max_n: int) -> np.ndarray:
         diag, _ = number_diagonal(mode, dim)
         if prev is not None and np.allclose(diag[: prev.size], prev, rtol=0, atol=1e-14):
             break
-        if dim >= 1 << 14:
-            break
+        if dim >= PMF_DIM_CEILING:
+            raise TruncationError(
+                f"photon-number pmf not stable below dim ceiling {PMF_DIM_CEILING} for {mode}"
+            )
         prev = diag
         dim *= 2
     out = np.zeros(max_n + 1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .constants import DEFAULT_JITTER_SIGMA_PS, DEFAULT_REP_RATE_HZ
 from .exceptions import InvalidParameterError
-from .fock import photon_number_pmf, suggest_start_dim
+from .fock import photon_number_pmf, suggest_start_dim, thermal_pmf
 from .states import (
     HyperParams,
     ModeParams,
@@ -338,7 +338,8 @@ def pair_source_click_expectations(cfg: PairSourceConfig, optics: OpticsConfig) 
     cfg.validate()
     optics.validate()
     n_max = int(max(64.0, cfg.n_bar * 50))
-    pmf = photon_number_pmf(ModeParams(n_th=cfg.n_bar), n_max)
+    pmf = thermal_pmf(cfg.n_bar, n_max + 1)
+    pmf /= pmf.sum()
     q1 = optics.eta * optics.splitter[0]
     q2 = optics.eta * optics.splitter[1] if optics.n_arms > 1 else q1
     s1 = 1.0 - _gen_fn(pmf, q1)

@@ -6,15 +6,16 @@ state is a list of statistically independent modes; the measured broadband
 correlations g2(0), g3(0) follow from normally ordered per-mode moments by a
 multinomial combination.
 
-Fast path: first and second moments use the Gaussian (Wick) expansion with
-central moments
+All three moments m1, m2, m3 are closed forms: the Gaussian (Wick/Isserlis)
+expansion of a = alpha + b around the central moments of b,
 
     N = n_th cosh(2r) + sinh^2(r)
     M = (2 n_th + 1) sinh(r) cosh(r) e^{i phi},   phi = -theta
 
-The phase convention phi(theta) was calibrated once against the number-basis
-oracle at a complex displacement and is frozen by a regression test. The
-third moment has no maintained closed form and is delegated to the oracle.
+evaluated elementwise over arrays of modes (mode_moments). The phase
+convention phi(theta) was calibrated once against the number-basis oracle in
+the fock module at a complex displacement and is frozen by a regression test;
+that oracle certifies the closed forms in the tests and is not called here.
 """
 from __future__ import annotations
 
@@ -62,6 +63,8 @@ class HyperParams:
     d: int = 50
 
     def validate(self) -> None:
+        if not all(math.isfinite(v) for v in (self.B, abs(self.alpha), self.n_th)):
+            raise InvalidParameterError(f"non-finite hyperparameter in {self}")
         if not (0.0 <= self.mu < 1.0):
             raise InvalidParameterError(f"mu must lie in [0, 1), got {self.mu}")
         if self.B < 0.0:
@@ -113,33 +116,46 @@ def expand_hyperparams(h: HyperParams) -> MultimodeState:
     )
 
 
-def _gaussian_central(r: float, theta: float, n_th: float) -> tuple[float, complex]:
-    n = n_th * math.cosh(2.0 * r) + math.sinh(r) ** 2
-    m = (2.0 * n_th + 1.0) * math.sinh(r) * math.cosh(r) * np.exp(-1j * theta)
-    return n, m
+def mode_moments(r, theta, alpha, n_th) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m1, m2, m3 of independent modes, elementwise over broadcast arrays.
+
+    With A = |alpha|^2 and c = Re(alpha*^2 M) = A |M| cos(2 arg(alpha) + theta),
+    Isserlis pairing of a = alpha + b gives
+
+        m1 = A + N
+        m2 = A^2 + 4AN + 2c + 2N^2 + |M|^2
+        m3 = A^3 + 9A^2 N + 18AN^2 + 9A|M|^2 + 6Ac + 18Nc + 6N^3 + 9N|M|^2
+
+    Inputs are not validated; callers check them.
+    """
+    sh = np.sinh(r)
+    n = n_th * np.cosh(2.0 * r) + sh * sh  # N
+    m_abs = (2.0 * n_th + 1.0) * sh * np.cosh(r)  # |M|, arg M = -theta
+    a = np.abs(alpha) ** 2
+    c = a * m_abs * np.cos(2.0 * np.angle(alpha) + theta)
+    mm = m_abs * m_abs
+    m1 = a + n
+    m2 = a * a + 4.0 * a * n + 2.0 * c + 2.0 * n * n + mm
+    m3 = (a * (a * a + 9.0 * a * n + 18.0 * n * n + 9.0 * mm + 6.0 * c)
+          + n * (18.0 * c + 6.0 * n * n + 9.0 * mm))
+    return m1, m2, m3
+
+
+def _state_moments(state: MultimodeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    state.validate()
+    modes = state.modes
+    return mode_moments(
+        np.array([m.r for m in modes]),
+        np.array([m.theta for m in modes]),
+        np.array([complex(m.alpha) for m in modes]),
+        np.array([m.n_th for m in modes]),
+    )
 
 
 def wick_moments(mode: ModeParams) -> NormallyOrderedMoments:
-    """Per-mode moments: m1, m2 from the Wick expansion, m3 from the oracle.
-
-    The oracle call uses a raised truncation ceiling so ordinary parameter
-    ranges (r <= 2, |alpha| <= 2, n_th <= 0.5) never hit truncation failure.
-    """
+    """Per-mode moments m1, m2, m3 in closed form (see mode_moments)."""
     mode.validate()
-    n, m = _gaussian_central(mode.r, mode.theta, mode.n_th)
-    a = complex(mode.alpha)
-    a2 = abs(a) ** 2
-    m1 = a2 + n
-    m2 = (
-        a2 * a2
-        + 4.0 * a2 * n
-        + 2.0 * (np.conj(a) ** 2 * m).real
-        + 2.0 * n * n
-        + abs(m) ** 2
-    )
-    from .fock import oracle_moments
-
-    m3 = oracle_moments(mode, ceiling=4096).m3
+    m1, m2, m3 = mode_moments(mode.r, mode.theta, complex(mode.alpha), mode.n_th)
     return NormallyOrderedMoments(float(m1), float(m2), float(m3))
 
 
@@ -169,26 +185,20 @@ def combine_moments(m1, m2, m3) -> tuple[float, float, float]:
 
 
 def per_mode_moments(state: MultimodeState) -> list[NormallyOrderedMoments]:
-    state.validate()
-    return [wick_moments(m) for m in state.modes]
+    return [
+        NormallyOrderedMoments(float(a), float(b), float(c))
+        for a, b, c in zip(*_state_moments(state))
+    ]
 
 
 def broadband_moments(state: MultimodeState) -> tuple[float, float, float]:
     """(S1, g2, g3) of the full multimode state."""
-    mom = per_mode_moments(state)
-    return combine_moments(
-        [m.m1 for m in mom], [m.m2 for m in mom], [m.m3 for m in mom]
-    )
+    return combine_moments(*_state_moments(state))
 
 
 def mean_photon(state: MultimodeState) -> float:
-    """Mean photons per pulse, sum of |alpha_k|^2 + N_k (analytic, no oracle)."""
-    state.validate()
-    total = 0.0
-    for m in state.modes:
-        n, _ = _gaussian_central(m.r, m.theta, m.n_th)
-        total += abs(complex(m.alpha)) ** 2 + n
-    return total
+    """Mean photons per pulse, sum of |alpha_k|^2 + N_k."""
+    return float(_state_moments(state)[0].sum())
 
 
 def apply_loss(m: NormallyOrderedMoments, eta: float) -> NormallyOrderedMoments:

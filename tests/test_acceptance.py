@@ -75,13 +75,13 @@ def test_criterion_01_wick_matches_oracle_grid():
                         )
                         w = wick_moments(mode)
                         o = oracle_moments(mode, ceiling=4096)
-                        for a, b in ((w.m1, o.m1), (w.m2, o.m2)):
+                        for a, b in ((w.m1, o.m1), (w.m2, o.m2), (w.m3, o.m3)):
                             err = abs(a - b) / max(abs(b), 1e-12)
                             worst = max(worst, err)
                         n_checked += 1
     _verdict(
         1,
-        "closed-form m1, m2 match the number-basis oracle to 1e-9",
+        "closed-form m1, m2, m3 match the number-basis oracle to 1e-9",
         worst <= 1e-9,
         f"{n_checked} parameter points, worst relative error {worst:.2e}",
     )

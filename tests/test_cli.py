@@ -101,6 +101,19 @@ def test_analysis_takes_rep_rate_from_config(runner, tmp_path):
     assert estimates[0] == estimates[1]
 
 
+def test_analysis_takes_rep_rate_from_sidecar(runner, tmp_path):
+    cfg = dict(THERMAL_CONFIG, optics=dict(THERMAL_CONFIG["optics"], rep_rate_hz=25e6))
+    out = _simulate(runner, tmp_path, cfg=cfg)
+    estimates = []
+    for flag in ([], ["--rep-rate-hz", "25e6"]):
+        res = runner.invoke(
+            main, ["--out", str(out), "analyze-g2", str(out / "tags.bin")] + flag)
+        assert res.exit_code == 0, res.output
+        estimates.append((out / "g2_estimate.json").read_bytes())
+    assert estimates[0] == estimates[1]
+    assert json.loads(estimates[0])["n_satellites_used"] == 50
+
+
 @pytest.mark.parametrize("rate, flag", [(0.0, []), (25e6, ["--rep-rate-hz", "-1"])])
 def test_nonpositive_rep_rate_exits_2(runner, tmp_path, rate, flag):
     out = _simulate(runner, tmp_path)

@@ -12,12 +12,14 @@ from sqcorr import (
     InvalidParameterError,
     NoConvergenceError,
     broadband_moments,
+    combine_moments,
     crossover_fit,
     expand_hyperparams,
     fit_parameters,
     model_curve,
     objective,
     read_dataset_csv,
+    wick_moments,
 )
 from sqcorr.estimation import PENALTY, read_crossover_csv
 
@@ -33,6 +35,25 @@ def test_model_curve_prefix_property(h4):
     full = model_curve(h4)
     short = model_curve(HyperParams(h4.B, h4.mu, h4.alpha, h4.n_th, d=20))
     np.testing.assert_array_equal(full[:20], short)
+
+
+@pytest.mark.parametrize(
+    "B,mu,alpha,n_th,d",
+    [
+        (0.471, 0.4226, 0.127, 0.001, 50),
+        (0.397, 0.32, 0.161, 0.001, 12),
+        (1.5, 0.9, 1.2, 0.3, 30),
+        (0.8, 0.6, 0.0, 0.2, 20),
+        (0.0, 0.5, 0.7, 0.0, 5),
+        (0.2, 0.0, 0.0, 0.0, 3),
+    ],
+)
+def test_model_curve_matches_per_mode_loop(B, mu, alpha, n_th, d):
+    h = HyperParams(B=B, mu=mu, alpha=alpha, n_th=n_th, d=d)
+    mom = [wick_moments(m) for m in expand_hyperparams(h).modes]
+    m1, m2, m3 = (np.array([getattr(m, f) for m in mom]) for f in ("m1", "m2", "m3"))
+    loop = np.array([combine_moments(m1[:k], m2[:k], m3[:k]) for k in range(1, d + 1)])
+    np.testing.assert_allclose(model_curve(h), loop, rtol=1e-13, atol=0)
 
 
 def test_model_curve_last_row_is_broadband(h4):

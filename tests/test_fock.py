@@ -123,6 +123,14 @@ def test_photon_pmf_renormalizes_cut_tail():
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_photon_pmf_raises_at_dim_ceiling(monkeypatch):
+    mode = ModeParams(n_th=2.0)
+    assert photon_number_pmf(mode, 5).sum() == pytest.approx(1.0, abs=1e-12)
+    monkeypatch.setattr("sqcorr.fock.PMF_DIM_CEILING", suggest_start_dim(mode))
+    with pytest.raises(TruncationError):
+        photon_number_pmf(mode, 5)
+
+
 def test_density_matrix_hermitian_unit_trace():
     rho = mode_density_matrix(ModeParams(r=0.5, alpha=0.4, n_th=0.1), 48)
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)

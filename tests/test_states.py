@@ -1,4 +1,6 @@
 """Wick moments, broadband combination and Schmidt-mode bookkeeping."""
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -13,12 +15,17 @@ from sqcorr import (
     ModeParams,
     MultimodeState,
     NormallyOrderedMoments,
+    OpticsConfig,
     apply_loss,
     broadband_moments,
     combine_moments,
     expand_hyperparams,
+    generate_timetags,
     mean_photon,
+    mode_moments,
     mode_weights,
+    model_curve,
+    objective,
     oracle_moments,
     per_mode_moments,
     schmidt_number,
@@ -26,6 +33,8 @@ from sqcorr import (
     squeezing_db,
     wick_moments,
 )
+from sqcorr import states
+from sqcorr.estimation import DataSetPoint
 
 # broadband values for the two reference hyperparameter sets, frozen from the
 # number-basis oracle
@@ -47,6 +56,7 @@ def test_wick_matches_oracle(mode):
     o = oracle_moments(mode)
     assert w.m1 == pytest.approx(o.m1, rel=1e-9)
     assert w.m2 == pytest.approx(o.m2, rel=1e-9)
+    assert w.m3 == pytest.approx(o.m3, rel=1e-9)
 
 
 def test_squeezing_phase_convention_frozen():
@@ -71,6 +81,45 @@ def test_wick_matches_oracle_property(r, theta, amag, aarg, n_th):
     o = oracle_moments(mode, ceiling=2048)
     assert w.m1 == pytest.approx(o.m1, rel=1e-9, abs=1e-12)
     assert w.m2 == pytest.approx(o.m2, rel=1e-9, abs=1e-12)
+    assert w.m3 == pytest.approx(o.m3, rel=1e-9, abs=1e-12)
+
+
+def test_mode_moments_broadcast_matches_scalar_calls():
+    r = np.array([0.0, 0.4, 1.1])
+    theta = np.array([0.0, 0.9, -2.1])
+    alpha = np.array([0.0, 0.5 - 0.3j, 1.2j])
+    n_th = np.array([0.2, 0.0, 0.05])
+    got = np.array(mode_moments(r, theta, alpha, n_th))
+    for k in range(3):
+        w = wick_moments(ModeParams(r=r[k], theta=theta[k], alpha=alpha[k], n_th=n_th[k]))
+        np.testing.assert_allclose(got[:, k], (w.m1, w.m2, w.m3), rtol=1e-13)
+
+
+def test_states_module_does_not_import_fock():
+    tree = ast.parse(inspect.getsource(states))
+    imported = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    } | {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    assert not any(name and "fock" in name for name in imported), imported
+
+
+def test_runtime_path_never_calls_oracle(monkeypatch, tmp_path, h4):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle_moments called on the runtime path")
+
+    monkeypatch.setattr("sqcorr.fock.oracle_moments", refuse)
+    curve = model_curve(h4)
+    data = [DataSetPoint(r[0], r[1], 0.01, r[2], 0.05) for r in curve[:12]]
+    assert objective(data, HyperParams(h4.B, h4.mu, h4.alpha, h4.n_th, d=12)) < 1e-20
+    assert broadband_moments(expand_hyperparams(h4))[1] == pytest.approx(curve[-1, 1])
+    sidecar = generate_timetags(
+        h4, OpticsConfig(eta=0.045, n_pulses=20_000, splitter=(1 / 3, 1 / 3, 1 / 3)),
+        seed=1, path=tmp_path / "tags.bin",
+    )
+    assert sidecar["truth"]["g3"] == pytest.approx(curve[-1, 2])
 
 
 def test_single_thermal_g2_g3():
@@ -189,7 +238,8 @@ def test_squeezing_db_convention():
 @pytest.mark.parametrize(
     "kwargs",
     [dict(B=-0.1, mu=0.4), dict(B=0.4, mu=1.0), dict(B=0.4, mu=0.4, n_th=-1e-4),
-     dict(B=0.4, mu=0.4, d=0)],
+     dict(B=0.4, mu=0.4, d=0), dict(B=math.nan, mu=0.4),
+     dict(B=0.4, mu=0.4, alpha=math.inf), dict(B=0.4, mu=0.4, n_th=math.nan)],
 )
 def test_hyperparams_validation(kwargs):
     with pytest.raises(InvalidParameterError):
