@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .constants import LASER_PERIOD_PS
 from .exceptions import (
@@ -90,6 +89,8 @@ def _fit_gaussian(x: np.ndarray, y: np.ndarray, sigma0: float):
     ymax = float(y.max())
     if ymax <= 0.0:
         return None
+    from scipy.optimize import curve_fit  # deferred: scipy is slow to import
+
     p0 = (ymax, float(x[int(np.argmax(y))]), sigma0)
     try:
         with warnings.catch_warnings():

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.stats import qmc
 
 from .exceptions import (
     DataFormatError,
@@ -213,6 +211,10 @@ def fit_parameters(
     if lo.shape != (4,) or np.any(hi <= lo):
         raise InvalidParameterError(f"bad bounds {bounds}")
 
+    # deferred: scipy is slow to import
+    from scipy.optimize import minimize
+    from scipy.stats import qmc
+
     def f(x: np.ndarray) -> float:
         return objective(data, HyperParams(B=x[0], mu=x[1], alpha=x[2], n_th=x[3], d=d))
 
@@ -284,6 +286,8 @@ def crossover_fit(intensity, yields) -> CrossoverFit:
     _, tb, coef = scan(np.linspace(lo, hi, 200))
     step = (hi - lo) / 199 if hi > lo else 0.0
     if step > 0.0:
+        from scipy.optimize import minimize_scalar  # deferred: scipy is slow to import
+
         res = minimize_scalar(
             lambda t: _broken_line_sse(lx, ly, float(t))[0],
             bounds=(tb - step, tb + step),

@@ -9,10 +9,11 @@ eigendecomposition. The generators scale linearly with r and |alpha|, so the
 eigensystem is computed once per truncation dimension at unit strength and
 rescaled.
 
-This oracle is the test certificate for the closed-form moments in the states
+This oracle is the test certificate for the closed forms in the states
 module: it builds the state literally instead of assuming Gaussian pairing, so
-tests check m1, m2, m3 and the broadband combination against it. The runtime
-moment path does not call it.
+tests check m1, m2, m3, the broadband combination and the generating-function
+photon-number pmf against it. The runtime path does not call it, and scipy is
+imported only when it runs.
 
 Normally ordered moments <a^+n a^n> come from the number diagonal with falling
 factorial weights. Truncation is adaptive: the dimension doubles until the
@@ -23,7 +24,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .exceptions import InvalidParameterError, TruncationError
 from .states import ModeParams, NormallyOrderedMoments
@@ -57,6 +57,8 @@ def thermal_pmf(n_th: float, dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _unit_squeeze_eig(dim: int):
+    from scipy.linalg import eig_banded  # deferred: scipy is slow to import
+
     # i * squeeze generator, phase-rotated to real symmetric form; entries on
     # the second subdiagonal are 0.5*sqrt((n+1)(n+2)) at r=1
     n = np.arange(dim, dtype=float)
@@ -68,6 +70,8 @@ def _unit_squeeze_eig(dim: int):
 
 @lru_cache(maxsize=64)
 def _unit_displace_eig(dim: int):
+    from scipy.linalg import eig_banded
+
     # i * displacement generator at |alpha|=1: first subdiagonal sqrt(n+1)
     n = np.arange(dim, dtype=float)
     band = np.zeros((2, dim))

@@ -1,11 +1,25 @@
 """Synthetic pulsed-experiment generator.
 
-Per pulse, a photon number is drawn from the source statistics, thinned
-binomially by the end-to-end efficiency, split multinomially across detector
-arms, and turned into binary clicks (SPADs report only presence). Click times
-are the pulse grid plus Gaussian jitter. Pulses are generated in fixed-size
-blocks seeded from spawned sub-streams, so output files are bit-identical for
-a given (config, seed) regardless of how generation is scheduled.
+A source fixes the photon-number pmf p(n) of one beam in one pulse and a beam
+count B: B = 1 for a multimode state (p is the pmf of its total photon
+number, state_photon_pmf), B = n_beams for the pair source (geometric p, the
+same n in every beam). Every photon is detected independently with the
+end-to-end efficiency eta; a beam's detected photons are split multinomially
+across its detector arms, and an arm clicks when it gets at least one
+(SPADs report only presence). Click times are the pulse grid plus Gaussian
+jitter.
+
+Only the pulses that click are drawn, from the exact law of that chain. A
+pulse with n photons per beam is silent with probability (1-eta)^(Bn), so
+clicking pulses are Bernoulli(P_click) with P_click = sum p(n)(1-(1-eta)^(Bn))
+and their indices follow from geometric gaps. Each clicking pulse draws n
+from p(n)(1-(1-eta)^(Bn)) / P_click by inverse CDF, then K >= 1, the photons
+detected over all beams: the first detected photon is geometric truncated
+to [1, Bn] and the photons after it are detected freely. K is split over the
+beams hypergeometrically (each holds n) and each beam's share over its arms.
+Pulses are taken in fixed-size blocks seeded from spawned sub-streams, so
+output files are bit-identical for a given (config, seed) regardless of how
+generation is scheduled, and no array spans all pulses.
 
 Binary detectors bias click-based correlation estimates at O(click
 probability); click_expectations provides the exact analytic click-level
@@ -14,24 +28,32 @@ values so tests can separate detector physics from estimator errors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .constants import DEFAULT_JITTER_SIGMA_PS, DEFAULT_REP_RATE_HZ
-from .exceptions import InvalidParameterError
-from .fock import photon_number_pmf, suggest_start_dim, thermal_pmf
+from .exceptions import InvalidParameterError, TruncationError
+from .fock import thermal_pmf
 from .states import (
     HyperParams,
-    ModeParams,
     MultimodeState,
     broadband_moments,
     expand_hyperparams,
+    per_mode_moments,
+    photon_log_pgf,
+    photon_pgf_radius,
 )
 from .tags import write_tags, write_tags_csv
 
 _BLOCK_PULSES = 1 << 20
-_PMF_TAIL = 1e-14
+
+# photon-number pmfs drop a tail of at most this mass
+PMF_TAIL = 1e-15
+# state_photon_pmf doubles its FFT length up to this; a tail bound not yet
+# below PMF_TAIL there raises TruncationError
+PMF_FFT_CEILING = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -87,32 +109,49 @@ class PairSourceConfig:
             raise InvalidParameterError("pair source needs at least 2 beams")
 
 
-def _trimmed_mode_pmf(mode: ModeParams, tail: float = _PMF_TAIL) -> np.ndarray:
-    max_n = 4 * suggest_start_dim(mode)
-    p = photon_number_pmf(mode, max_n)
-    cum = np.cumsum(p)
-    k = int(np.searchsorted(cum, 1.0 - tail)) + 1
-    p = p[: max(k, 1)]
+def state_photon_pmf(state: MultimodeState) -> np.ndarray:
+    """Exact pmf of the per-pulse total photon number, up to a PMF_TAIL tail.
+
+    The product of the per-mode Gaussian generating functions is sampled at L
+    roots of unity and inverted by FFT. The inversion folds the mass above L
+    onto 0..L-1, so L starts from the mean and variance and doubles until the
+    Chernoff bound on P(n >= L) is below PMF_TAIL; the closed form is exact
+    inside the radius of convergence, where the bound is taken. Raises
+    TruncationError if that needs more than PMF_FFT_CEILING points.
+    """
+    moments = per_mode_moments(state)
+    mean = sum(m.m1 for m in moments)
+    var = sum(m.m2 + m.m1 - m.m1 * m.m1 for m in moments)
+    radius = photon_pgf_radius(state)
+    if math.isinf(radius):
+        x = 1.0 + 2.0 ** np.arange(-20.0, 60.0)
+    else:
+        t = np.concatenate((2.0 ** -np.arange(1.0, 40.0), 1.0 - 2.0 ** -np.arange(2.0, 40.0)))
+        x = 1.0 + (radius - 1.0) * t
+    log_pgf_x = photon_log_pgf(state, 1.0 - x)
+    length = 64
+    while length < mean + 16.0 * math.sqrt(var) + 16.0:
+        length *= 2
+    # Chernoff: P(n >= L) <= G(x) x^-L for every x > 1 inside the radius
+    while np.min(log_pgf_x - length * np.log(x)) > math.log(PMF_TAIL):
+        if length >= PMF_FFT_CEILING:
+            raise TruncationError(
+                f"photon-number tail not below {PMF_TAIL} within {PMF_FFT_CEILING} points"
+            )
+        length *= 2
+    z = np.exp(2j * np.pi * np.arange(length) / length)
+    p = np.fft.fft(np.exp(photon_log_pgf(state, 1.0 - z))).real / length
+    p = np.maximum(p, 0.0)  # rounding noise around the zeros of the far tail
+    tail = np.cumsum(p[::-1])[::-1]  # tail[n] = mass at n and above
+    p = p[: max(int(np.count_nonzero(tail > PMF_TAIL)), 1)]
     return p / p.sum()
 
 
-def state_photon_pmf(state: MultimodeState, tail: float = _PMF_TAIL) -> np.ndarray:
-    """Exact pmf of the per-pulse total photon number (convolution over modes).
-
-    The total over independent modes is distributed as the convolution of the
-    per-mode pmfs, so one draw from this pmf is statistically identical to
-    summing d independent per-mode draws.
-    """
-    state.validate()
-    total = np.array([1.0])
-    for mode in state.modes:
-        p = _trimmed_mode_pmf(mode, tail)
-        if p.size > 1:
-            total = np.convolve(total, p)
-    cum = np.cumsum(total)
-    k = int(np.searchsorted(cum, 1.0 - 1e-15)) + 1
-    total = total[: max(k, 1)]
-    return total / total.sum()
+def _pair_pmf(cfg: PairSourceConfig) -> np.ndarray:
+    """Geometric per-beam pmf of the pair source, up to a PMF_TAIL tail."""
+    q = cfg.n_bar / (1.0 + cfg.n_bar)
+    p = thermal_pmf(cfg.n_bar, int(math.ceil(math.log(PMF_TAIL) / math.log(q))))
+    return p / p.sum()
 
 
 def _as_state(source) -> MultimodeState:
@@ -137,6 +176,73 @@ def sample_pulse_counts(
     return _draw_from_pmf(pmf, n_pulses, rng)
 
 
+@dataclass(frozen=True)
+class ClickLaw:
+    """Law of one clicking pulse, built once per run by click_law.
+
+    cdf[n] is the probability, given a click, that each beam holds at most n
+    photons; heard[n] = 1 - (1-eta)^(Bn) is the probability that at least one
+    of the Bn photons of a pulse is detected.
+    """
+
+    p_click: float
+    n_beams: int
+    eta: float
+    heard: np.ndarray
+    cdf: np.ndarray
+
+
+def click_law(pmf, n_beams: int, eta: float) -> ClickLaw:
+    """Click law of B = n_beams beams that each hold n ~ pmf photons, thinned by eta."""
+    pmf = np.asarray(pmf, dtype=float)
+    trials = n_beams * np.arange(pmf.size)
+    heard = -np.expm1(trials * math.log1p(-eta)) if eta < 1.0 else (trials > 0).astype(float)
+    cdf = np.cumsum(pmf * heard)
+    p_click = min(float(cdf[-1]), 1.0) if cdf.size else 0.0  # 1 - P(no photon detected)
+    if p_click > 0.0:
+        cdf /= cdf[-1]
+    return ClickLaw(p_click, n_beams, eta, heard, cdf)
+
+
+def _detected_photons(law: ClickLaw, n: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """K ~ Binomial(Bn, eta) given K >= 1, for pulses with n photons per beam.
+
+    The first detected photon J is geometric truncated to [1, Bn], drawn by
+    inverse CDF; the Bn - J photons after it are detected freely.
+    """
+    trials = law.n_beams * n
+    if law.eta >= 1.0:
+        return trials
+    u = rng.random(n.size)
+    first = np.ceil(np.log1p(-u * law.heard[n]) / math.log1p(-law.eta))
+    first = np.clip(first, 1, trials).astype(np.int64)
+    return 1 + rng.binomial(trials - first, law.eta)
+
+
+def _clicking_pulses(p_click: float, n_pulses: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of the clicking pulses among n_pulses, from geometric gaps."""
+    if p_click <= 0.0 or n_pulses <= 0:
+        return np.empty(0, dtype=np.int64)
+    expect = n_pulses * p_click
+    chunk = int(expect + 6.0 * math.sqrt(expect) + 16.0)
+    pos = np.cumsum(rng.geometric(p_click, chunk)) - 1
+    while pos[-1] < n_pulses:
+        pos = np.concatenate((pos, pos[-1] + np.cumsum(rng.geometric(p_click, chunk))))
+    return pos[: int(np.searchsorted(pos, n_pulses))]
+
+
+def _split_beams(n: np.ndarray, k: np.ndarray, n_beams: int, rng: np.random.Generator) -> np.ndarray:
+    """Hypergeometric split of k detected photons over beams holding n each."""
+    shares = np.empty((k.size, n_beams), dtype=np.int64)
+    rem = k
+    for b in range(n_beams - 1):
+        take = rng.hypergeometric(n, (n_beams - 1 - b) * n, rem)
+        shares[:, b] = take
+        rem = rem - take
+    shares[:, -1] = rem
+    return shares
+
+
 def _split_arms(
     kept: np.ndarray, splitter: tuple[float, ...], rng: np.random.Generator
 ) -> np.ndarray:
@@ -153,33 +259,35 @@ def _split_arms(
     return arms
 
 
-def optics_chain(
-    counts: np.ndarray,
-    config: OpticsConfig,
+def sample_clicks(
+    law: ClickLaw,
+    optics: OpticsConfig,
     rng: np.random.Generator,
+    n_pulses: int,
     start_pulse: int = 0,
-):
-    """Propagate per-pulse photon counts to clicks and jittered timestamps.
+) -> list[np.ndarray]:
+    """Draw the clicks of pulses start_pulse .. start_pulse + n_pulses - 1.
 
-    Returns (clicks, times): clicks is a boolean (n_pulses, n_arms) array and
-    times a list of unsorted int64 ps arrays, one per arm. Dead-time
-    suppression is applied by the caller on the assembled streams so block
-    boundaries cannot leak clicks.
+    Returns one unsorted int64 ps array of click times per channel (channels
+    beam-major). Dead-time suppression is applied by the caller on the
+    assembled streams so block boundaries cannot leak clicks.
     """
-    config.validate()
-    counts = np.asarray(counts, dtype=np.int64)
-    kept = rng.binomial(counts, config.eta)
-    arms = _split_arms(kept, config.splitter, rng)
-    clicks = arms > 0
-    base = np.round(
-        (start_pulse + np.arange(counts.size, dtype=np.float64)) * config.period_ps
-    ).astype(np.int64)
+    optics.validate()
+    pulses = start_pulse + _clicking_pulses(law.p_click, n_pulses, rng)
+    n = np.searchsorted(law.cdf, rng.random(pulses.size), side="right")
+    shares = _split_beams(n, _detected_photons(law, n, rng), law.n_beams, rng)
+    base = np.round(pulses.astype(np.float64) * optics.period_ps).astype(np.int64)
     times = []
-    for a in range(config.n_arms):
-        idx = np.flatnonzero(clicks[:, a])
-        jit = rng.normal(0.0, config.jitter_sigma_ps, idx.size) if config.jitter_sigma_ps > 0 else 0.0
-        times.append(base[idx] + np.round(jit).astype(np.int64))
-    return clicks, times
+    for beam in range(law.n_beams):
+        arms = _split_arms(shares[:, beam], optics.splitter, rng)
+        for a in range(optics.n_arms):
+            idx = np.flatnonzero(arms[:, a])
+            t = base[idx]
+            if optics.jitter_sigma_ps > 0:
+                jitter = rng.normal(0.0, optics.jitter_sigma_ps, idx.size)
+                t = t + np.round(jitter).astype(np.int64)
+            times.append(t)
+    return times
 
 
 def _suppress_dead_time(t_sorted: np.ndarray, dead_ps: float) -> np.ndarray:
@@ -195,13 +303,6 @@ def _suppress_dead_time(t_sorted: np.ndarray, dead_ps: float) -> np.ndarray:
     return t_sorted[keep]
 
 
-def _pair_beam_counts(
-    cfg: PairSourceConfig, n_pulses: int, rng: np.random.Generator
-) -> np.ndarray:
-    # geometric on {0, 1, ...}: success prob 1/(1+n_bar)
-    return (rng.geometric(1.0 / (1.0 + cfg.n_bar), size=n_pulses) - 1).astype(np.int64)
-
-
 def generate_timetags(
     source,
     optics: OpticsConfig,
@@ -212,50 +313,37 @@ def generate_timetags(
     """Simulate a full acquisition and write the binary tag file.
 
     source is a MultimodeState, HyperParams, or PairSourceConfig. For a pair
-    source the same drawn photon number enters every beam, and each beam gets
-    its own splitter copy; channels are numbered beam-major. Returns the
-    sidecar dict (true parameters, analytic targets, measured click rates).
+    source the same photon number enters every beam, and each beam gets its
+    own splitter copy; channels are numbered beam-major. Only clicking pulses
+    are drawn (see the module docstring), block by block. Returns the sidecar
+    dict (true parameters, analytic targets, measured click rates).
     """
     optics.validate()
     pair = isinstance(source, PairSourceConfig)
     if pair:
         source.validate()
-        n_beams = source.n_beams
-        pmf = None
+        law = click_law(_pair_pmf(source), source.n_beams, optics.eta)
     else:
         state = _as_state(source)
-        pmf = state_photon_pmf(state)
-        n_beams = 1
-    n_channels = n_beams * optics.n_arms
+        law = click_law(state_photon_pmf(state), 1, optics.eta)
+    n_channels = law.n_beams * optics.n_arms
 
     n_blocks = max(1, -(-optics.n_pulses // _BLOCK_PULSES))
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
     per_channel = [[] for _ in range(n_channels)]
-    clicks_total = np.zeros(n_channels, dtype=np.int64)
     for b in range(n_blocks):
-        rng = np.random.default_rng(seeds[b])
         start = b * _BLOCK_PULSES
         size = min(_BLOCK_PULSES, optics.n_pulses - start)
         if size <= 0:
             break
-        if pair:
-            counts = _pair_beam_counts(source, size, rng)
-            for beam in range(n_beams):
-                clicks, times = optics_chain(counts, optics, rng, start_pulse=start)
-                for a in range(optics.n_arms):
-                    ch = beam * optics.n_arms + a
-                    per_channel[ch].append(times[a])
-                    clicks_total[ch] += int(clicks[:, a].sum())
-        else:
-            counts = _draw_from_pmf(pmf, size, rng)
-            clicks, times = optics_chain(counts, optics, rng, start_pulse=start)
-            for a in range(optics.n_arms):
-                per_channel[a].append(times[a])
-                clicks_total[a] += int(clicks[:, a].sum())
+        times = sample_clicks(law, optics, np.random.default_rng(seeds[b]), size, start)
+        for ch, t in enumerate(times):
+            per_channel[ch].append(t)
 
-    streams = []
+    streams, clicks_total = [], []
     for parts in per_channel:
         t = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+        clicks_total.append(t.size)
         streams.append(_suppress_dead_time(t, optics.dead_time_ps))
     writer = write_tags_csv if str(path).endswith(".csv") else write_tags
     writer(path, streams, channel_count=n_channels)
@@ -337,9 +425,7 @@ def pair_source_click_expectations(cfg: PairSourceConfig, optics: OpticsConfig) 
     """
     cfg.validate()
     optics.validate()
-    n_max = int(max(64.0, cfg.n_bar * 50))
-    pmf = thermal_pmf(cfg.n_bar, n_max + 1)
-    pmf /= pmf.sum()
+    pmf = _pair_pmf(cfg)
     q1 = optics.eta * optics.splitter[0]
     q2 = optics.eta * optics.splitter[1] if optics.n_arms > 1 else q1
     s1 = 1.0 - _gen_fn(pmf, q1)

@@ -12,7 +12,9 @@ expansion of a = alpha + b around the central moments of b,
     N = n_th cosh(2r) + sinh^2(r)
     M = (2 n_th + 1) sinh(r) cosh(r) e^{i phi},   phi = -theta
 
-evaluated elementwise over arrays of modes (mode_moments). The phase
+evaluated elementwise over arrays of modes (mode_moments). The photon-number
+generating function E[z^n] (photon_log_pgf) is a closed form in the same N, M
+and alpha; the simulate module inverts it into the photon-number pmf. The phase
 convention phi(theta) was calibrated once against the number-basis oracle in
 the fock module at a complex displacement and is frozen by a regression test;
 that oracle certifies the closed forms in the tests and is not called here.
@@ -116,6 +118,12 @@ def expand_hyperparams(h: HyperParams) -> MultimodeState:
     )
 
 
+def _central_moments(r, n_th):
+    """N and |M| of the undisplaced mode (arg M = -theta)."""
+    sh = np.sinh(r)
+    return n_th * np.cosh(2.0 * r) + sh * sh, (2.0 * n_th + 1.0) * sh * np.cosh(r)
+
+
 def mode_moments(r, theta, alpha, n_th) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """m1, m2, m3 of independent modes, elementwise over broadcast arrays.
 
@@ -128,9 +136,7 @@ def mode_moments(r, theta, alpha, n_th) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Inputs are not validated; callers check them.
     """
-    sh = np.sinh(r)
-    n = n_th * np.cosh(2.0 * r) + sh * sh  # N
-    m_abs = (2.0 * n_th + 1.0) * sh * np.cosh(r)  # |M|, arg M = -theta
+    n, m_abs = _central_moments(r, n_th)
     a = np.abs(alpha) ** 2
     c = a * m_abs * np.cos(2.0 * np.angle(alpha) + theta)
     mm = m_abs * m_abs
@@ -141,15 +147,53 @@ def mode_moments(r, theta, alpha, n_th) -> tuple[np.ndarray, np.ndarray, np.ndar
     return m1, m2, m3
 
 
-def _state_moments(state: MultimodeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mode_arrays(state: MultimodeState) -> tuple[np.ndarray, ...]:
     state.validate()
     modes = state.modes
-    return mode_moments(
+    return (
         np.array([m.r for m in modes]),
         np.array([m.theta for m in modes]),
         np.array([complex(m.alpha) for m in modes]),
         np.array([m.n_th for m in modes]),
     )
+
+
+def photon_log_pgf(state: MultimodeState, s) -> np.ndarray:
+    """log E[(1-s)^n] of the state's total photon number, at an array of s.
+
+    s may be real or complex. With l+- = N +- |M| and a' + i b' =
+    alpha e^{i theta/2} (the displacement in the frame where M is real), the
+    Gaussian generating function of one mode, <:exp(-s a^+a):> (Weedbrook et
+    al., Rev. Mod. Phys. 84, 621 (2012)), is
+
+        G = exp(-s (a'^2/(1 + s l+) + b'^2/(1 + s l-))) / sqrt((1 + s l+)(1 + s l-))
+
+    Physical modes have l- > -1/2, so both factors have positive real part on
+    the unit circle |1 - s| = 1 and for real s in (-1/l+, 0]: there the
+    principal logs add without branch jumps.
+    """
+    s = np.asarray(s)
+    r, theta, alpha, n_th = _mode_arrays(state)
+    n, m_abs = _central_moments(r, n_th)
+    rot = alpha * np.exp(0.5j * theta)
+    out = np.zeros(s.shape, dtype=np.result_type(s, float))
+    # one mode at a time: s may be long, and modes x points would not fit
+    for lp, lm, a, b in zip(n + m_abs, n - m_abs, rot.real, rot.imag):
+        dp, dm = 1.0 + s * lp, 1.0 + s * lm
+        out += -s * (a * a / dp + b * b / dm) - 0.5 * (np.log(dp) + np.log(dm))
+    return out
+
+
+def photon_pgf_radius(state: MultimodeState) -> float:
+    """Radius of convergence 1 + 1/max(l+) of E[z^n] (inf if every l+ is 0)."""
+    r, _, _, n_th = _mode_arrays(state)
+    n, m_abs = _central_moments(r, n_th)
+    lp = float(np.max(n + m_abs))
+    return math.inf if lp == 0.0 else 1.0 + 1.0 / lp
+
+
+def _state_moments(state: MultimodeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return mode_moments(*_mode_arrays(state))
 
 
 def wick_moments(mode: ModeParams) -> NormallyOrderedMoments:

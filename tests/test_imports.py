@@ -1,0 +1,48 @@
+"""scipy stays off the import path of the package, the CLI and `simulate`.
+
+Each check runs in a fresh interpreter, since this test process may already
+have imported scipy.
+"""
+import json
+import subprocess
+import sys
+
+import pytest
+
+
+def _loads_scipy(code: str) -> bool:
+    probe = code + "\nimport sys\nprint('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, check=True)
+    return proc.stdout.strip().splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("module", ["sqcorr", "sqcorr.cli"])
+def test_import_does_not_load_scipy(module):
+    assert not _loads_scipy(f"import {module}")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        {"kind": "hyper", "B": 0.471, "mu": 0.4226, "alpha": 0.127, "n_th": 0.001, "d": 50},
+        {"kind": "pair", "n_bar": 0.5, "n_beams": 3},
+    ],
+    ids=["hyper", "pair"],
+)
+def test_simulate_does_not_load_scipy(tmp_path, source):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"source": source,
+                                  "optics": {"eta": 0.045, "n_pulses": 50_000}}))
+    args = ["--config", str(config), "--seed", "1", "--out", str(tmp_path / "out"),
+            "simulate"]
+    assert not _loads_scipy(
+        "from sqcorr.cli import main\n"
+        f"main({args!r}, standalone_mode=False)")
+    assert (tmp_path / "out" / "tags.bin").stat().st_size > 16
+
+
+def test_fit_still_finds_scipy():
+    """The probe itself can see scipy being loaded."""
+    assert _loads_scipy("import sqcorr.estimation as e\n"
+                        "e.crossover_fit([1, 2, 3, 4, 5], [1, 2, 3, 5, 8])")
