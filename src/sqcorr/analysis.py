@@ -2,15 +2,16 @@
 
 Normalization follows the pulsed-source convention: satellite peaks at nonzero
 multiples of the laser period come from uncorrelated pulses and define the
-g = 1 reference, so the zero-delay estimate is the central-peak height divided
-by the mean satellite height. Satellite scatter (CV) enters the reported
-standard error together with Poisson noise on the central counts.
+g = 1 reference. Each peak is measured by its window sum, the coincidences
+counted in a fixed window around it, so the zero-delay estimate is the
+central window sum over the mean satellite window sum. Its standard error
+combines Poisson noise on the central sum with the standard error of the
+satellite mean, v * sqrt(1/C0 + var(sats)/(n mean(sats)^2)).
 """
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -27,16 +28,15 @@ from .histograms import Histogram1D, Histogram2D
 class AnalysisConfig:
     """Extraction thresholds.
 
-    r2_min gates the Gaussian satellite fits; satellites failing it are
-    dropped. cv_max bounds the satellite coefficient of variation before the
-    normalization is declared unusable. fit_window_frac sets the fit window
-    around each peak in units of the period. prominence_sigma is the 2D
-    peak-finding threshold in units of the Poisson noise of the local
-    background. The first-period row/column and the diagonal of the 2D grid
-    carry same-pulse contamination and are excluded by default.
+    fit_window_frac sets the half-width of each 1D peak window in units of the
+    period. cv_max bounds the satellite coefficient of variation before the
+    normalization is declared unusable; min_satellites is the fewest satellites
+    a normalization may rest on. prominence_sigma is the 2D peak threshold in
+    units of the Poisson noise of the cell background. The first-period
+    row/column and the diagonal of the 2D grid carry same-pulse contamination
+    and are excluded by default.
     """
 
-    r2_min: float = 0.90
     min_satellites: int = 10
     cv_max: float = 0.5
     fit_window_frac: float = 0.25
@@ -53,8 +53,6 @@ class CorrelationEstimate:
     std_error: float
     n_satellites_used: int
     satellite_cv: float
-    fit_r2: float
-    method: str  # "gaussian-fit" | "peak-max"
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -80,30 +78,40 @@ class CsiResult:
         }
 
 
-def _gauss(x, a, mu, sig):
-    return a * np.exp(-0.5 * ((x - mu) / sig) ** 2)
+def _window_ranges(centers: np.ndarray, peaks: np.ndarray, half_width: float,
+                   upper: str = "right"):
+    """Index ranges [lo, hi) of the sorted bin centers in [peak - half_width, peak + half_width].
+
+    upper="left" leaves the upper edge open, so windows that touch share no bin.
+    """
+    lo = np.searchsorted(centers, peaks - half_width, side="left")
+    hi = np.searchsorted(centers, peaks + half_width, side=upper)
+    return lo, hi
 
 
-def _fit_gaussian(x: np.ndarray, y: np.ndarray, sigma0: float):
-    """Unweighted Gaussian LSQ fit; returns (amplitude, r2) or None on failure."""
-    ymax = float(y.max())
-    if ymax <= 0.0:
-        return None
-    from scipy.optimize import curve_fit  # deferred: scipy is slow to import
-
-    p0 = (ymax, float(x[int(np.argmax(y))]), sigma0)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            popt, _ = curve_fit(_gauss, x, y, p0=p0, maxfev=5000)
-    except (RuntimeError, ValueError):
-        return None
-    resid = y - _gauss(x, *popt)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot <= 0.0:
-        return None
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot
-    return abs(float(popt[0])), r2
+def _normalized(central: float, sats: np.ndarray, cfg: AnalysisConfig,
+                what: str) -> CorrelationEstimate:
+    """Central sum over the mean satellite sum, after the satellite-count and CV gates."""
+    if sats.size < cfg.min_satellites:
+        raise InsufficientSatellitesError(
+            f"only {sats.size} {what} satellites usable, need >= {cfg.min_satellites}"
+        )
+    norm = float(sats.mean())
+    if norm <= 0.0:
+        raise InsufficientSatellitesError(f"the {what} satellites hold no coincidences")
+    cv = float(sats.std(ddof=1) / norm)
+    if cv > cfg.cv_max:
+        raise PoorNormalizationError(
+            f"satellite CV {cv:.3f} exceeds limit {cfg.cv_max}"
+        )
+    value = central / norm
+    std = value * math.sqrt(1.0 / max(central, 1.0) + cv * cv / sats.size)
+    return CorrelationEstimate(
+        value=value,
+        std_error=std,
+        n_satellites_used=int(sats.size),
+        satellite_cv=cv,
+    )
 
 
 def extract_g2(
@@ -113,74 +121,22 @@ def extract_g2(
 ) -> CorrelationEstimate:
     """Satellite-normalized zero-delay g2 from a 1D coincidence histogram.
 
-    Gaussian fits on a +-fit_window_frac*period window around every peak;
-    satellites with fit R^2 >= r2_min define the normalization. The central
-    value is the fitted maximum, falling back to the raw peak maximum (method
-    tag "peak-max") when the central fit fails the gate.
+    Every peak k*period with |k| <= m, the most whose +-fit_window_frac*period
+    window lies inside the histogram, is measured by its window sum; the
+    central sum over the mean of the 2m satellite sums is g2(0).
     """
     cfg = config or AnalysisConfig()
-    centers = h.bin_centers().astype(float)
-    counts = h.counts.astype(float)
     half_win = cfg.fit_window_frac * period_ps
     m_max = int((h.range_ps - half_win) // period_ps)
     if 2 * m_max < 10:
         raise InsufficientSatellitesError(
             f"window holds only {2 * m_max} satellite peaks, need >= 10"
         )
-    sigma0 = 2.0 * h.bin_width_ps
-
-    amps = []
-    for k in range(-m_max, m_max + 1):
-        if k == 0:
-            continue
-        sel = np.abs(centers - k * period_ps) <= half_win
-        fit = _fit_gaussian(centers[sel], counts[sel], sigma0)
-        if fit is not None and fit[1] >= cfg.r2_min:
-            amps.append(fit[0])
-    if len(amps) < cfg.min_satellites:
-        raise InsufficientSatellitesError(
-            f"only {len(amps)} satellites passed the R^2 gate, "
-            f"need >= {cfg.min_satellites}"
-        )
-    amps = np.asarray(amps)
-    norm = float(amps.mean())
-    cv = float(amps.std(ddof=1) / norm)
-    if cv > cfg.cv_max:
-        raise PoorNormalizationError(
-            f"satellite CV {cv:.3f} exceeds limit {cfg.cv_max}"
-        )
-
-    sel0 = np.abs(centers) <= half_win
-    central_counts = float(counts[sel0].sum())
-    fit = _fit_gaussian(centers[sel0], counts[sel0], sigma0)
-    if fit is not None and fit[1] >= cfg.r2_min:
-        value = fit[0] / norm
-        method, r2 = "gaussian-fit", fit[1]
-    else:
-        value = float(counts[sel0].max()) / norm
-        method, r2 = "peak-max", (fit[1] if fit is not None else 0.0)
-
-    std = value * math.sqrt(1.0 / max(central_counts, 1.0) + cv * cv / len(amps))
-    return CorrelationEstimate(
-        value=value,
-        std_error=std,
-        n_satellites_used=len(amps),
-        satellite_cv=cv,
-        fit_r2=max(0.0, min(1.0, r2)),
-        method=method,
-    )
-
-
-def _grid_cells(nbins: int, bin_width_ps: float, period_ps: float):
-    """Index masks of one-period cells centered on multiples of the period."""
-    half = nbins // 2
-    centers = (np.arange(nbins) - half) * bin_width_ps
-    reach = (half * bin_width_ps + bin_width_ps / 2.0) - period_ps / 2.0
-    m_max = int(reach // period_ps)
-    sels = {}
-    for k in range(-m_max, m_max + 1):
-        sels[k] = np.abs(centers - k * period_ps) <= period_ps / 2.0
-    return m_max, sels
+    ks = np.arange(-m_max, m_max + 1)
+    lo, hi = _window_ranges(h.bin_centers(), ks * period_ps, half_win)
+    cum = np.concatenate(([0], np.cumsum(h.counts)))
+    sums = (cum[hi] - cum[lo]).astype(float)
+    return _normalized(sums[m_max], np.delete(sums, m_max), cfg, "g2")
 
 
 def extract_g3(
@@ -190,55 +146,39 @@ def extract_g3(
 ) -> CorrelationEstimate:
     """Zero-delay g3 from a 2D triple-coincidence histogram.
 
-    Peaks are located as local maxima inside one-period grid cells with a
-    prominence threshold over the Poisson noise of the cell background. The
-    diagonal and the first-period row/column are excluded from normalization
-    (same-pulse contamination); the central value is the maximum of the
-    central cell over the mean retained satellite maximum.
+    The grid is cut into one-period cells centered on (i, j) multiples of the
+    period, each half-open, [k*period - period/2, k*period + period/2) per
+    axis, and each cell is measured by its sum. A satellite cell is kept when
+    its maximum stands prominence_sigma Poisson deviations above the cell
+    median. The diagonal and the first-period row/column are excluded from
+    normalization (same-pulse contamination); the central value is the central
+    cell sum over the mean retained satellite cell sum.
     """
     cfg = config or AnalysisConfig()
-    m_max, sels = _grid_cells(h.nbins, h.bin_width_ps, period_ps)
+    half = h.nbins // 2
+    reach = (half * h.bin_width_ps + h.bin_width_ps / 2.0) - period_ps / 2.0
+    m_max = int(reach // period_ps)
     if m_max < 1:
         raise InsufficientSatellitesError("2D window smaller than one period")
+    ks = np.arange(-m_max, m_max + 1)
+    # half-open cells: a bin centered on a cell edge belongs to one cell only
+    lo, hi = _window_ranges(h.bin_centers(), ks * period_ps, period_ps / 2.0, upper="left")
+    span = {int(k): slice(a, b) for k, a, b in zip(ks, lo, hi)}
 
     sat = []
-    central_max = None
-    for i in range(-m_max, m_max + 1):
-        for j in range(-m_max, m_max + 1):
-            cell = h.counts[np.ix_(sels[i], sels[j])]
-            peak = float(cell.max())
-            if i == 0 and j == 0:
-                central_max = peak
-                continue
-            if cfg.exclude_diagonal and i == j:
+    for i in span:
+        for j in span:
+            if i == j and (i == 0 or cfg.exclude_diagonal):
                 continue
             if cfg.exclude_first_row_col and (i == 0 or j == 0):
                 continue
+            cell = h.counts[span[i], span[j]]
             background = float(np.median(cell))
-            prominence = peak - background
+            prominence = float(cell.max()) - background
             if prominence >= cfg.prominence_sigma * math.sqrt(max(background, 1.0)):
-                sat.append(peak)
-    if len(sat) < cfg.min_satellites:
-        raise InsufficientSatellitesError(
-            f"only {len(sat)} 2D satellite peaks found, need >= {cfg.min_satellites}"
-        )
-    sat = np.asarray(sat)
-    norm = float(sat.mean())
-    cv = float(sat.std(ddof=1) / norm)
-    if cv > cfg.cv_max:
-        raise PoorNormalizationError(
-            f"satellite CV {cv:.3f} exceeds limit {cfg.cv_max}"
-        )
-    value = central_max / norm
-    std = value * math.sqrt(1.0 / max(central_max, 1.0) + cv * cv / len(sat))
-    return CorrelationEstimate(
-        value=value,
-        std_error=std,
-        n_satellites_used=len(sat),
-        satellite_cv=cv,
-        fit_r2=0.0,
-        method="peak-max",
-    )
+                sat.append(float(cell.sum()))
+    central = float(h.counts[span[0], span[0]].sum())
+    return _normalized(central, np.asarray(sat), cfg, "g3")
 
 
 def csi_r(
@@ -271,6 +211,4 @@ def aggregate_repetitions(estimates) -> CorrelationEstimate:
         std_error=std,
         n_satellites_used=int(min(e.n_satellites_used for e in estimates)),
         satellite_cv=float(np.mean([e.satellite_cv for e in estimates])),
-        fit_r2=float(np.mean([e.fit_r2 for e in estimates])),
-        method=estimates[0].method,
     )

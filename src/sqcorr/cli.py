@@ -302,7 +302,7 @@ def analyze_g2(ctx, tagfile, channel_a, channel_b, bin_ps, range_ps, rep_rate_hz
         json.dump(result, f, indent=2, sort_keys=True)
     _write_provenance(ctx, "analyze-g2", ["g2_histogram.csv", "g2_estimate.json"])
     click.echo(f"g2(0) = {est.value:.4f} +- {est.std_error:.4f} "
-               f"({est.n_satellites_used} satellites, {est.method})")
+               f"({est.n_satellites_used} satellites)")
 
 
 @main.command("analyze-g3")

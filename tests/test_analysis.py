@@ -56,8 +56,6 @@ def _spike_grid(central: float, sat: float, periods: float = 2.5, bin_ps: int = 
 def test_extract_g2_on_clean_comb():
     est = extract_g2(_comb_histogram(2000.0))
     assert est.value == pytest.approx(2.0, rel=1e-3)
-    assert est.method == "gaussian-fit"
-    assert est.fit_r2 > 0.99
     assert est.n_satellites_used == 24
     assert est.satellite_cv < 1e-3
     assert est.std_error > 0.0
@@ -80,24 +78,55 @@ def test_extract_g2_needs_ten_satellites():
         extract_g2(_comb_histogram(2000.0, periods=3.5))
 
 
-def test_extract_g2_r2_gate_drops_flat_satellites():
-    h = _comb_histogram(2000.0)
-    counts = h.counts.copy()
-    # flatten everything except the central peak: satellite fits cannot pass
-    sel = np.abs(h.bin_centers()) > PERIOD / 2
-    counts[sel] = 1000
-    with pytest.raises(InsufficientSatellitesError, match="R\\^2"):
-        extract_g2(Histogram1D(h.bin_width_ps, counts, 1.0))
+def _sparse_comb(placed, periods: float = 12.5, bin_ps: int = 100):
+    """Histogram with counts[bin nearest to delay] += n for each (delay_ps, n)."""
+    nbins = 2 * int(periods * PERIOD / bin_ps) + 1
+    counts = np.zeros(nbins, dtype=np.int64)
+    for delay, n in placed:
+        counts[nbins // 2 + int(round(delay / bin_ps))] += n
+    return Histogram1D(bin_ps, counts, 1.0)
 
 
-def test_extract_g2_peak_max_fallback():
+def test_extract_g2_window_sums_exact():
+    sats = {k: 900 + 10 * k for k in range(-12, 13) if k}
+    placed = [(0.0, 1500), (-0.2 * PERIOD, 300)]  # both inside the central window
+    for k, n in sats.items():
+        placed += [(k * PERIOD - 2000, n - 100), (k * PERIOD + 0.24 * PERIOD, 100)]
+    # between the windows, and the 13th peaks past the last whole window: never counted
+    placed += [((k + 0.5) * PERIOD, 99999) for k in range(-12, 12)]
+    placed += [(-12.4 * PERIOD, 77777), (12.4 * PERIOD, 77777)]
+    est = extract_g2(_sparse_comb(placed))
+    s = np.array(list(sats.values()), dtype=float)
+    assert est.n_satellites_used == 24
+    assert est.value == 1800 / s.mean()
+    assert est.satellite_cv == pytest.approx(s.std(ddof=1) / s.mean(), rel=1e-12)
+
+
+def test_extract_g2_error_formula():
+    rng = np.random.default_rng(5)
+    sats = rng.integers(800, 1200, 24)
+    ks = [k for k in range(-12, 13) if k]
+    placed = [(0.0, 2600)] + [(k * PERIOD, int(n)) for k, n in zip(ks, sats)]
+    est = extract_g2(_sparse_comb(placed))
+    v = 2600 / sats.mean()
+    want = v * math.sqrt(1 / 2600 + sats.var(ddof=1) / (sats.size * sats.mean() ** 2))
+    assert est.value == pytest.approx(v, rel=1e-12)
+    assert est.std_error == pytest.approx(want, rel=1e-12)
+
+
+def test_extract_g2_empty_satellites_rejected():
+    with pytest.raises(InsufficientSatellitesError, match="no coincidences"):
+        extract_g2(_sparse_comb([(0.0, 50)]))
+
+
+def test_extract_g2_flat_central_window_is_summed():
     h = _comb_histogram(2000.0)
     counts = h.counts.copy()
     sel = np.abs(h.bin_centers()) <= 0.25 * PERIOD
-    counts[sel] = 500  # flat central cell defeats the Gaussian fit
+    counts[sel] = 5  # no peak shape left: the window still sums what it holds
     est = extract_g2(Histogram1D(h.bin_width_ps, counts, 1.0))
-    assert est.method == "peak-max"
-    assert est.value == pytest.approx(0.5, rel=2e-3)
+    sat_sum = h.counts[np.abs(h.bin_centers() - PERIOD) <= 0.25 * PERIOD].sum()
+    assert est.value == pytest.approx(5 * sel.sum() / sat_sum, rel=1e-3)
 
 
 def test_extract_g3_on_spike_grid():
@@ -107,7 +136,42 @@ def test_extract_g3_on_spike_grid():
     assert est.value == pytest.approx(3.0, rel=1e-9)
     # 5x5 cells minus central, diagonal and zero row/column
     assert est.n_satellites_used == 12
-    assert est.method == "peak-max"
+
+
+def test_extract_g3_uses_cell_sums():
+    h, m = _spike_grid(1500, 500)
+    counts = h.counts.copy()
+    half = h.nbins // 2
+    step = int(round(PERIOD / h.bin_width_ps))
+    for i in range(-m, m + 1):
+        for j in range(-m, m + 1):
+            if i and j and i != j:  # split each retained satellite over two bins
+                counts[half + i * step, half + j * step] = 400
+                counts[half + i * step + 1, half + j * step] = 100
+    counts[half + 1, half] = 300  # a second central bin
+    est = extract_g3(Histogram2D(h.bin_width_ps, counts, 1.0))
+    assert est.value == pytest.approx(1800 / 500, rel=1e-12)
+    assert est.satellite_cv == 0.0
+    assert est.std_error == pytest.approx(est.value / math.sqrt(1800), rel=1e-12)
+
+    # a bin width that splits the period into 20 bins puts bin centers on the
+    # cell edges; each edge bin belongs to one cell, so a cell sums 20 x 20 bins
+    period, bin_ps = 50_000.0, 2_500
+    nbins = 2 * int(2.5 * period / bin_ps) + 1
+    half = nbins // 2
+    step = int(period / bin_ps)
+    counts = np.ones((nbins, nbins), dtype=np.int64)  # one accidental per bin
+    for i in range(-2, 3):
+        for j in range(-2, 3):
+            counts[half + i * step, half + j * step] += 1500 if i == j == 0 else 500
+    # extra coincidences on the edge between satellite cells (1, -2) and (2, -2)
+    counts[half + step + step // 2, half - 2 * step] += 50
+    est = extract_g3(Histogram2D(bin_ps, counts, 1.0), period_ps=period)
+    assert est.n_satellites_used == 12
+    sats = np.full(12, 900.0)
+    sats[0] += 50
+    assert est.value == pytest.approx(1900 / sats.mean(), rel=1e-12)
+    assert est.satellite_cv == pytest.approx(sats.std(ddof=1) / sats.mean(), rel=1e-12)
 
 
 def test_extract_g3_exclusions_are_inert():
@@ -147,7 +211,7 @@ def test_extract_g3_needs_ten_satellites():
 
 
 def _est(value: float, std: float = 0.0) -> CorrelationEstimate:
-    return CorrelationEstimate(value, std, 10, 0.1, 1.0, "gaussian-fit")
+    return CorrelationEstimate(value, std, 10, 0.1)
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,9 @@ from sqcorr.histograms import histogram2d_to_csv, histogram_to_csv
 
 
 def _stream(*channels):
-    arrs = tuple(np.asarray(c, dtype=np.int64) for c in channels)
-    return TagStream(channel_count=len(arrs), by_channel=arrs)
+    arrs = [np.asarray(c, dtype=np.int64) for c in channels]
+    index = np.repeat(np.arange(len(arrs)), [a.size for a in arrs])
+    return TagStream(len(arrs), index, np.concatenate(arrs))
 
 
 def _bin_index(delays, bin_ps, nbins):

@@ -1,4 +1,4 @@
-"""scipy stays off the import path of the package, the CLI and `simulate`.
+"""scipy stays off the import path of the package, the CLI, `simulate` and analysis.
 
 Each check runs in a fresh interpreter, since this test process may already
 have imported scipy.
@@ -40,6 +40,34 @@ def test_simulate_does_not_load_scipy(tmp_path, source):
         "from sqcorr.cli import main\n"
         f"main({args!r}, standalone_mode=False)")
     assert (tmp_path / "out" / "tags.bin").stat().st_size > 16
+
+
+@pytest.fixture(scope="module")
+def pair_tags(tmp_path_factory):
+    """A small two-beam pair-source tag file, enough for g2, g3 and R."""
+    from sqcorr.cli import main
+
+    tmp = tmp_path_factory.mktemp("pair")
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"source": {"kind": "pair", "n_bar": 1.0, "n_beams": 2},
+                                  "optics": {"eta": 0.25, "n_pulses": 1_000_000}}))
+    main(["--config", str(config), "--seed", "3", "--out", str(tmp), "simulate"],
+         standalone_mode=False)
+    return tmp / "tags.bin"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["analyze-g2"], ["analyze-g3"], ["csi", "--arms", "2"]],
+    ids=["analyze-g2", "analyze-g3", "csi"],
+)
+def test_analysis_does_not_load_scipy(tmp_path, pair_tags, command):
+    args = ["--out", str(tmp_path), command[0], str(pair_tags), *command[1:]]
+    assert not _loads_scipy(
+        "from sqcorr.cli import main\n"
+        f"main({args!r}, standalone_mode=False)")
+    assert any(p.suffix == ".json" and p.name != "provenance.json"
+               for p in tmp_path.iterdir())
 
 
 def test_fit_still_finds_scipy():

@@ -199,6 +199,9 @@ def test_dead_time_suppression():
     t = np.array([0, 50, 200, 260, 400], dtype=np.int64)
     np.testing.assert_array_equal(_suppress_dead_time(t, 100.0), [0, 200, 400])
     np.testing.assert_array_equal(_suppress_dead_time(t, 0.0), t)
+    # a chain of close tags is measured from the last kept tag, equal stamps included
+    chain = np.array([0, 60, 120, 180, 240, 240, 240, 500, 560], dtype=np.int64)
+    np.testing.assert_array_equal(_suppress_dead_time(chain, 100.0), [0, 120, 240, 500])
     for few in ([], [5]):
         np.testing.assert_array_equal(_suppress_dead_time(np.array(few, dtype=np.int64), 10.0), few)
 

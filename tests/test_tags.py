@@ -5,7 +5,32 @@ import numpy as np
 import pytest
 
 from sqcorr import DataFormatError, load_tags, read_tags, write_tags
-from sqcorr.tags import FORMAT_VERSION, HEADER, MAGIC, read_tags_csv, write_tags_csv
+from sqcorr.tags import (
+    FORMAT_VERSION,
+    HEADER,
+    MAGIC,
+    TAG_DTYPE,
+    read_tags_csv,
+    write_tags_csv,
+)
+
+
+def _write_records(path, channels, stamps, channel_count):
+    """An HHGT file holding the records in the order given, not sorted."""
+    rec = np.zeros(len(stamps), dtype=TAG_DTYPE)
+    rec["channel"] = channels
+    rec["timestamp_ps"] = stamps
+    path.write_bytes(HEADER.pack(MAGIC, FORMAT_VERSION, channel_count, 0) + rec.tobytes())
+
+
+def _write_rows(path, channels, stamps):
+    """A CSV tag file holding the rows in the order given, not sorted."""
+    path.write_text("channel,timestamp_ps\n"
+                    + "".join(f"{c},{t}\n" for c, t in zip(channels, stamps)))
+
+
+def _brute_channels(channels, stamps, channel_count):
+    return [np.sort(np.asarray(stamps)[np.asarray(channels) == c]) for c in range(channel_count)]
 
 
 def _random_streams(rng, n_channels=3, size=400):
@@ -109,3 +134,70 @@ def test_record_channel_above_count_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError):
         read_tags(path)
+
+
+def test_channel_out_of_range_negative(tmp_path):
+    path = tmp_path / "t.bin"
+    write_tags(path, [np.array([1], dtype=np.int64)], channel_count=1)
+    with pytest.raises(DataFormatError):
+        read_tags(path).channel(-1)
+
+
+def test_csv_record_channel_above_count_rejected(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_rows(path, [0, 5], [10, 20])
+    with pytest.raises(DataFormatError):
+        read_tags_csv(path, channel_count=2)
+
+
+def test_csv_negative_record_channel_rejected(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_rows(path, [0, -1], [10, 20])
+    with pytest.raises(DataFormatError):
+        read_tags_csv(path, channel_count=2)
+
+
+def test_records_out_of_time_order_read_sorted(tmp_path):
+    path = tmp_path / "t.bin"
+    _write_records(path, [1, 0, 1, 0, 1, 0], [500, 40, -3, 40, 200, 7], channel_count=2)
+    tags = read_tags(path)
+    np.testing.assert_array_equal(tags.channel(0), [7, 40, 40])
+    np.testing.assert_array_equal(tags.channel(1), [-3, 200, 500])
+    assert tags.n_records == 6
+
+
+def test_declared_channel_without_records_is_empty(tmp_path):
+    path = tmp_path / "t.bin"
+    _write_records(path, [0, 2, 0], [1, 2, 3], channel_count=4)
+    tags = read_tags(path)
+    for c in (1, 3):
+        assert tags.channel(c).size == 0
+        assert tags.channel(c).dtype == np.int64
+    assert [ch.size for ch in tags.by_channel] == [2, 0, 1, 0]
+
+
+@pytest.mark.parametrize("form", ["bin", "csv"])
+def test_channels_match_mask_and_sort(tmp_path, rng, form):
+    for trial in range(5):
+        n, count = int(rng.integers(0, 300)), int(rng.integers(1, 9))
+        channels = rng.integers(0, count, n)
+        # a narrow range repeats timestamps; unsorted records exercise the sort
+        stamps = rng.integers(-50, 50 if trial % 2 else 10**12, n)
+        if trial == 0:
+            order = np.lexsort((channels, stamps))
+            channels, stamps = channels[order], stamps[order]
+        path = tmp_path / f"t{trial}.{form}"
+        if form == "bin":
+            _write_records(path, channels, stamps, count)
+            tags = read_tags(path)
+        else:
+            _write_rows(path, channels, stamps)
+            tags = read_tags_csv(path, channel_count=count)
+        want = _brute_channels(channels, stamps, count)
+        for c in rng.permutation(count):
+            np.testing.assert_array_equal(tags.channel(int(c)), want[c])
+        assert len(tags.by_channel) == count
+        for got, w in zip(tags.by_channel, want):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, w)
+
