@@ -128,9 +128,11 @@ def extract_g2(
     cfg = config or AnalysisConfig()
     half_win = cfg.fit_window_frac * period_ps
     m_max = int((h.range_ps - half_win) // period_ps)
-    if 2 * m_max < 10:
+    # two satellites at the least: the CV needs a spread
+    need = max(cfg.min_satellites, 2)
+    if 2 * m_max < need:
         raise InsufficientSatellitesError(
-            f"window holds only {2 * m_max} satellite peaks, need >= 10"
+            f"window holds only {max(2 * m_max, 0)} satellite peaks, need >= {need}"
         )
     ks = np.arange(-m_max, m_max + 1)
     lo, hi = _window_ranges(h.bin_centers(), ks * period_ps, half_win)

@@ -370,8 +370,10 @@ def csi(ctx, tagfile, beam_i, beam_j, arms, bin_ps, range_ps, rep_rate_hz):
 
 @main.command()
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
-@click.option("--n-starts", type=int, default=16, show_default=True)
-@click.option("--max-evaluations", type=int, default=2000, show_default=True)
+@click.option("--n-starts", type=int, default=16, show_default=True,
+              help="Grid cells polished, lowest grid-local minima first.")
+@click.option("--max-evaluations", type=int, default=2000, show_default=True,
+              help="Model evaluations each polished start may use.")
 @click.option("--d", "d_modes", type=int, default=None,
               help="Mode count of the model curve (default: dataset length).")
 @click.pass_context
@@ -388,8 +390,7 @@ def fit(ctx, dataset, n_starts, max_evaluations, d_modes):
     except (TypeError, ValueError) as e:
         _fail(EXIT_CONFIG, f"bad fit bounds: {e}")
     result = fit_parameters(data, bounds=bounds, n_starts=n_starts,
-                            seed=ctx.obj["seed"], max_evaluations=max_evaluations,
-                            d=d_modes)
+                            max_evaluations=max_evaluations, d=d_modes)
     p = result.params
     payload = {
         "params": {"B": p.B, "mu": p.mu, "alpha": p.alpha, "n_th": p.n_th, "d": p.d},

@@ -14,6 +14,7 @@ objective insensitive to which bandwidths were sampled.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,11 +27,18 @@ from .exceptions import (
     InvalidParameterError,
     NoConvergenceError,
 )
-from .states import HyperParams, mode_moments, mode_weights
+from .states import HyperParams, mode_moments
 
 PENALTY = 1e6
 
 DEFAULT_BOUNDS = ((0.0, 2.0), (0.0, 0.95), (0.0, 2.0), (0.0, 0.5))
+
+GRID_CELLS = 8  # seeding-grid cells per axis, 8^4 = 4096 in all
+_CHUNK_ROWS = 1024  # parameter rows per model evaluation; bounds the temporaries at large d
+_DAMPING = np.logspace(-8, 2, 11)  # Marquardt damping ladder, tried in one batch per iteration
+_FD_STEP = 1e-6  # central-difference step, as a fraction of each bound's width
+_FTOL = 1e-12  # relative objective gain below which a start has converged
+_XTOL = 1e-13  # step, as a fraction of the widest bound, below which a start has converged
 
 _CSV_FIELDS = ("mean_n", "g2", "g2_err", "g3", "g3_err")
 
@@ -123,35 +131,96 @@ def model_curve(h: HyperParams) -> np.ndarray:
     output for d' < d is exactly the first d' rows.
     """
     h.validate()
-    m1, m2, m3 = mode_moments(h.B * mode_weights(h.mu, h.d), 0.0, h.alpha, h.n_th)
-    s1, s2, s3, p2, p3, x = np.cumsum(np.stack([m1, m2, m3, m1**2, m1**3, m2 * m1]), axis=1)
-    if s1[0] == 0.0:
+    curve = _curves(_row(h), h.d)[0]
+    if curve[0, 0] == 0.0:
         raise DegenerateStateError("vacuum prefix: g2, g3 undefined")
-    g2 = (s1 * s1 - p2 + s2) / (s1 * s1)
-    g3 = (s1**3 - 3.0 * s1 * p2 + 2.0 * p3 + 3.0 * (s2 * s1 - x) + s3) / s1**3
-    return np.column_stack([s1, g2, g3])
+    return curve
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and intercept; NaN when x carries no spread."""
-    # sum()/size gives np.mean's values without its per-call dispatch, which
-    # was about half of the objective's time on 12-point curves
-    n = x.size
-    mx, my = x.sum() / n, y.sum() / n
-    dx = x - mx
-    vx = float((dx * dx).sum() / n)
-    if not math.isfinite(vx) or vx <= 0.0:
-        return math.nan, math.nan
-    slope = float((dx * (y - my)).sum() / n) / vx
-    return slope, float(my - slope * mx)
+def _row(h: HyperParams) -> np.ndarray:
+    return np.array([[h.B, h.mu, h.alpha, h.n_th]], dtype=float)
 
 
-def _power_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Fit y = amp * x^p; returns (p, amp), NaN on non-positive input."""
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        return math.nan, math.nan
-    p, b = _line_fit(np.log(x), np.log(y))
-    return p, math.exp(b) if math.isfinite(b) else math.nan
+def _curves(x: np.ndarray, d: int) -> np.ndarray:
+    """Model curves, shape (rows, d, 3), for rows of (B, mu, alpha, n_th).
+
+    Rows are not validated; _residuals applies the PENALTY rules.
+    """
+    B, mu, alpha, n_th = (x[:, i, None] for i in range(4))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        m1, m2, m3 = mode_moments(B * (np.sqrt(1.0 - mu * mu) * mu ** np.arange(d)),
+                                  0.0, alpha, n_th)
+        s1, s2, s3, p2, p3, x2 = np.cumsum(np.stack([m1, m2, m3, m1**2, m1**3, m2 * m1]), axis=2)
+        g2 = (s1 * s1 - p2 + s2) / (s1 * s1)
+        g3 = (s1**3 - 3.0 * s1 * p2 + 2.0 * p3 + 3.0 * (s2 * s1 - x2) + s3) / s1**3
+    return np.stack([s1, g2, g3], axis=-1)
+
+
+def _line_fits(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares slopes and intercepts along the last axis; NaN where x has no spread."""
+    n = x.shape[-1]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        mx, my = x.sum(-1) / n, y.sum(-1) / n
+        dx = x - mx[..., None]
+        vx = (dx * dx).sum(-1) / n
+        slope = ((dx * (y - my[..., None])).sum(-1) / n) / vx
+        slope = np.where(np.isfinite(vx) & (vx > 0.0), slope, np.nan)
+        return slope, my - slope * mx
+
+
+def _shapes(at: tuple, n: np.ndarray, g2: np.ndarray, g3: np.ndarray) -> np.ndarray:
+    """The g3(g2) line at at[0] and the g2(mean_n) power law at at[1], concatenated.
+
+    n, g2 and g3 are curves along the last axis; the power law is NaN where
+    any of its inputs is not positive.
+    """
+    slope, icpt = _line_fits(g2, g3)
+    positive = np.all(n > 0.0, axis=-1) & np.all(g2 > 0.0, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        p, b = _line_fits(np.log(n), np.log(g2))
+        amp = np.where(positive, np.exp(b), np.nan)[..., None]
+        return np.concatenate(
+            [slope[..., None] * at[0] + icpt[..., None], amp * at[1] ** p[..., None]], axis=-1)
+
+
+def _target(data: list[DataSetPoint]) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The residual abscissae (data g2, data mean_n) and the data's own shapes there."""
+    if len(data) < 3:
+        raise DegenerateFitError("need at least 3 dataset points")
+    n, g2, g3 = np.array([(p.mean_n, p.g2, p.g3) for p in data], dtype=float).T
+    return (g2, n), _shapes((g2, n), n, g2, g3)
+
+
+def _residuals(x: np.ndarray, d: int, target) -> np.ndarray:
+    """Shape residuals, shape (rows, 2 len(data)), of parameter rows against the data.
+
+    Model line minus data line at each data g2, then model power law minus
+    data power law at each data mean_n; objective() is their mean square
+    over len(data). A row that breaks a PENALTY rule (mu outside [0, 1),
+    B < 0, n_th < 0, non-finite, vacuum prefix or non-finite model curve) is
+    NaN throughout, as is a row whose shapes are not finite. Rows go through
+    the model in chunks of _CHUNK_ROWS, which bounds the temporaries.
+    """
+    abscissae, ref = target
+    out = np.empty((len(x), ref.size))
+    for i in range(0, len(x), _CHUNK_ROWS):
+        rows = x[i:i + _CHUNK_ROWS]
+        curve = _curves(rows, d)
+        B, mu, _, n_th = rows.T
+        valid = (np.isfinite(rows).all(axis=1) & (mu >= 0.0) & (mu < 1.0) & (B >= 0.0)
+                 & (n_th >= 0.0) & (curve[:, 0, 0] != 0.0) & np.isfinite(curve).all(axis=(1, 2)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            r = _shapes(abscissae, curve[..., 0], curve[..., 1], curve[..., 2]) - ref
+        r[~valid] = np.nan
+        out[i:i + _CHUNK_ROWS] = r
+    return out
+
+
+def _objectives(r: np.ndarray) -> np.ndarray:
+    """objective() of each row of shape residuals: PENALTY where not finite."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = (r * r).sum(axis=-1) / (r.shape[-1] // 2)
+    return np.where(np.isfinite(total), total, PENALTY)
 
 
 def objective(data: list[DataSetPoint], h: HyperParams) -> float:
@@ -162,86 +231,141 @@ def objective(data: list[DataSetPoint], h: HyperParams) -> float:
     laws at the experimental mean_n values. Any degenerate or non-finite
     model evaluation returns a flat penalty so optimizers can step past it.
     """
-    if len(data) < 3:
-        raise DegenerateFitError("need at least 3 dataset points")
-    try:
-        curve = model_curve(h)
-    except (DegenerateStateError, InvalidParameterError):
+    target = _target(data)
+    if h.d < 1:
         return PENALTY
-    if not np.all(np.isfinite(curve)):
-        return PENALTY
-    mn, mg2, mg3 = curve[:, 0], curve[:, 1], curve[:, 2]
-    dn = np.array([p.mean_n for p in data])
-    dg2 = np.array([p.g2 for p in data])
-    dg3 = np.array([p.g3 for p in data])
+    return float(_objectives(_residuals(_row(h), h.d, target))[0])
 
-    sm, bm = _line_fit(mg2, mg3)
-    sd, bd = _line_fit(dg2, dg3)
-    pm, am = _power_fit(mn, mg2)
-    pdat, adat = _power_fit(dn, dg2)
-    coeffs = (sm, bm, sd, bd, pm, am, pdat, adat)
-    if not all(math.isfinite(c) for c in coeffs):
-        return PENALTY
-    line_mse = float(np.mean(((sm * dg2 + bm) - (sd * dg2 + bd)) ** 2))
-    power_mse = float(np.mean((am * dn**pm - adat * dn**pdat) ** 2))
-    total = line_mse + power_mse
-    return total if math.isfinite(total) else PENALTY
+
+def _start_cells(values: np.ndarray, n_starts: int) -> np.ndarray:
+    """Flat indices of the n_starts grid cells to polish.
+
+    values holds the objective on the GRID_CELLS^4 grid. The grid-local
+    minima, cells no higher than any of their 80 neighbours, come first and
+    the other cells after them, each group lowest first. Penalized cells are
+    never minima.
+    """
+    v = values.reshape((GRID_CELLS,) * 4)
+    padded = np.pad(v, 1, constant_values=np.inf)
+    is_min = v < PENALTY
+    for offset in itertools.product(range(3), repeat=4):
+        if offset != (1, 1, 1, 1):
+            is_min &= v <= padded[tuple(slice(o, o + GRID_CELLS) for o in offset)]
+    return np.lexsort((values, ~is_min.ravel()))[:n_starts]
+
+
+def _polish(x: np.ndarray, target, d: int, lo: np.ndarray, hi: np.ndarray,
+            budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Projected Levenberg-Marquardt from every row of x, all rows in lockstep.
+
+    Each iteration makes one batched model call for the centre and the
+    central-difference stencil of every active row (9 rows each; one-sided
+    at a bound), and one for the trial steps of the whole damping ladder;
+    each row keeps its best trial if it lowers the objective. A variable on
+    a bound that the gradient pushes against is frozen for that step. A row
+    converges when no trial improves it or the gain or step is negligible,
+    and stops unconverged once another iteration would overrun its budget of
+    model rows. Returns the end points, their objectives, the rows each
+    start used and the converged flags.
+    """
+    k = len(x)
+    x = x.copy()
+    f = np.full(k, PENALTY)
+    used = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    active = np.ones(k, dtype=bool)
+    width = hi - lo
+    eye = np.eye(4, dtype=bool)
+    per_iteration = 9 + _DAMPING.size
+    while True:
+        active &= used + per_iteration <= budget
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            return x, f, used, converged
+        xa = x[idx]
+        up = np.minimum(xa + _FD_STEP * width, hi)
+        down = np.maximum(xa - _FD_STEP * width, lo)
+        stencil = np.concatenate([xa[:, None],
+                                  np.where(eye, up[:, None], xa[:, None]),
+                                  np.where(eye, down[:, None], xa[:, None])], axis=1)
+        r = _residuals(stencil.reshape(-1, 4), d, target).reshape(idx.size, 9, -1)
+        r0 = r[:, 0]
+        f0 = _objectives(r0)
+        with np.errstate(invalid="ignore"):
+            jac = (r[:, 1:5] - r[:, 5:9]) / (up - down)[..., None]
+        jac = np.where(np.isfinite(jac), jac, 0.0)
+        g = np.einsum("kim,km->ki", jac, np.nan_to_num(r0))
+        free = ~(((xa <= lo) & (g > 0.0)) | ((xa >= hi) & (g < 0.0)))
+        a = np.where(free[:, :, None] & free[:, None, :], jac @ jac.transpose(0, 2, 1), 0.0)
+        # Marquardt scaling by diag(a), floored so that a flat or frozen
+        # direction still gets a damped, zero-length step
+        diag = np.diagonal(a, axis1=1, axis2=2)
+        scale = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True))
+        scale = np.where(scale > 0.0, scale, 1.0)
+        system = a[:, None] + eye * (_DAMPING[:, None, None] * scale[:, None, None, :])
+        step = np.linalg.solve(system, np.where(free, -g, 0.0)[:, None, :, None])[..., 0]
+        trial = np.clip(xa[:, None] + step, lo, hi)
+        ft = _objectives(_residuals(trial.reshape(-1, 4), d, target)).reshape(idx.size, -1)
+        used[idx] += per_iteration
+        best = ft.argmin(axis=1)
+        fb = ft[np.arange(idx.size), best]
+        xb = trial[np.arange(idx.size), best]
+        better = fb < f0
+        x[idx[better]] = xb[better]
+        f[idx] = np.where(better, fb, f0)
+        settled = (~better | (f0 - fb <= _FTOL * f0)
+                   | (np.abs(xb - xa).max(axis=1) <= _XTOL * width.max()))
+        converged[idx] = settled & (f0 < PENALTY)
+        active[idx] = ~settled & (f0 < PENALTY)
 
 
 def fit_parameters(
     data: list[DataSetPoint],
     bounds: tuple = DEFAULT_BOUNDS,
     n_starts: int = 16,
-    seed: int = 0,
     max_evaluations: int = 2000,
     d: int | None = None,
 ) -> FitResult:
-    """Multi-start Nelder-Mead over (B, mu, alpha, n_th) within bounds.
+    """Grid-seeded, projected Levenberg-Marquardt fit of (B, mu, alpha, n_th).
 
-    Starts are a seeded Latin hypercube over the box. Each start gets its own
-    evaluation budget; a start that exhausts it is recorded as unconverged.
-    Raises NoConvergenceError only when every start fails to converge.
+    The objective is evaluated at the centres of a GRID_CELLS^4 grid of
+    cells over the bounds. n_starts cells, the lowest grid-local minima
+    first (see _start_cells), are then polished together by _polish on the
+    shape residuals, each with a budget of max_evaluations model
+    evaluations. The fit is deterministic: nothing in it is random.
+    n_evaluations counts the grid cells plus every polish evaluation, and
+    start_index is the rank of the winning start. The result is the lowest
+    end point; NoConvergenceError is raised only when no start converges,
+    and DegenerateFitError when the data have no finite shapes.
     """
-    if len(data) < 3:
-        raise DegenerateFitError("need at least 3 dataset points")
+    target = _target(data)
+    if not np.all(np.isfinite(target[1])):
+        raise DegenerateFitError("the dataset has no finite g3(g2) line or g2(mean_n) power law")
     if d is None:
         d = len(data)
+    if d < 1:
+        raise InvalidParameterError(f"d must be >= 1, got {d}")
+    if n_starts < 1:
+        raise InvalidParameterError(f"n_starts must be >= 1, got {n_starts}")
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
-    if lo.shape != (4,) or np.any(hi <= lo):
+    if lo.shape != (4,) or not np.all(hi > lo):
         raise InvalidParameterError(f"bad bounds {bounds}")
 
-    # deferred: scipy is slow to import
-    from scipy.optimize import minimize
-    from scipy.stats import qmc
-
-    def f(x: np.ndarray) -> float:
-        return objective(data, HyperParams(B=x[0], mu=x[1], alpha=x[2], n_th=x[3], d=d))
-
-    starts = lo + qmc.LatinHypercube(d=4, seed=seed).random(n_starts) * (hi - lo)
-    best = None
-    total_evals = 0
-    any_converged = False
-    for i, x0 in enumerate(starts):
-        res = minimize(
-            f,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxfev": max_evaluations, "fatol": 1e-18, "xatol": 1e-12},
-        )
-        total_evals += int(res.nfev)
-        conv = bool(res.success)
-        any_converged = any_converged or conv
-        if best is None or res.fun < best[0]:
-            best = (float(res.fun), np.array(res.x), i, conv)
-    if not any_converged:
+    centres = (np.arange(GRID_CELLS) + 0.5) / GRID_CELLS
+    unit = np.stack(np.meshgrid(*[centres] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    cells = lo + unit * (hi - lo)
+    values = _objectives(_residuals(cells, d, target))
+    starts = _start_cells(values, n_starts)
+    x, f, used, converged = _polish(cells[starts], target, d, lo, hi, max_evaluations)
+    if not converged.any():
         raise NoConvergenceError(
-            f"all {n_starts} starts exhausted {max_evaluations} evaluations"
+            f"all {starts.size} starts exhausted {max_evaluations} evaluations"
         )
-    fun, x, idx, conv = best
-    params = HyperParams(B=float(x[0]), mu=float(x[1]), alpha=float(x[2]), n_th=float(x[3]), d=d)
-    return FitResult(params, fun, total_evals, idx, conv)
+    i = int(np.argmin(f))
+    params = HyperParams(B=float(x[i, 0]), mu=float(x[i, 1]), alpha=float(x[i, 2]),
+                         n_th=float(x[i, 3]), d=d)
+    return FitResult(params, float(f[i]), cells.shape[0] + int(used.sum()), i, bool(converged[i]))
 
 
 def _broken_line_sse(lx: np.ndarray, ly: np.ndarray, tb: float):

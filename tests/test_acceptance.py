@@ -280,7 +280,7 @@ def _fit_dataset(h: HyperParams):
 @pytest.mark.parametrize("truth,label", [(H4, "H4"), (H5, "H5")], ids=["h4", "h5"])
 def test_criterion_08_hyperparameter_recovery(truth, label):
     res = fit_parameters(
-        _fit_dataset(truth), bounds=DEFAULT_BOUNDS, n_starts=16, seed=0,
+        _fit_dataset(truth), bounds=DEFAULT_BOUNDS, n_starts=16,
         max_evaluations=2000, d=truth.d,
     )
     got = (res.params.B, res.params.mu, res.params.alpha, res.params.n_th)

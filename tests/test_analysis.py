@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sqcorr import (
+    AnalysisConfig,
     CorrelationEstimate,
     InsufficientSatellitesError,
     InvalidParameterError,
@@ -76,6 +77,15 @@ def test_extract_g2_poor_normalization():
 def test_extract_g2_needs_ten_satellites():
     with pytest.raises(InsufficientSatellitesError):
         extract_g2(_comb_histogram(2000.0, periods=3.5))
+
+
+def test_extract_g2_honours_min_satellites():
+    h = _comb_histogram(2000.0, periods=4.5)
+    with pytest.raises(InsufficientSatellitesError, match="need >= 10"):
+        extract_g2(h)
+    est = extract_g2(h, config=AnalysisConfig(min_satellites=4))
+    assert est.n_satellites_used == 8
+    assert est.value == pytest.approx(2.0, rel=1e-3)
 
 
 def _sparse_comb(placed, periods: float = 12.5, bin_ps: int = 100):

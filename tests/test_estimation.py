@@ -21,7 +21,14 @@ from sqcorr import (
     read_dataset_csv,
     wick_moments,
 )
-from sqcorr.estimation import PENALTY, read_crossover_csv
+from sqcorr.estimation import (
+    DEFAULT_BOUNDS,
+    PENALTY,
+    _objectives,
+    _residuals,
+    _target,
+    read_crossover_csv,
+)
 
 
 def _as_dataset(curve: np.ndarray) -> list[DataSetPoint]:
@@ -94,7 +101,7 @@ def test_fit_recovers_from_near_start():
     truth = HyperParams(B=0.5, mu=0.4, alpha=0.15, n_th=0.01, d=6)
     data = _as_dataset(model_curve(truth))
     bounds = ((0.35, 0.65), (0.25, 0.55), (0.05, 0.25), (0.0, 0.05))
-    res = fit_parameters(data, bounds=bounds, n_starts=1, seed=1)
+    res = fit_parameters(data, bounds=bounds, n_starts=1)
     assert res.converged
     assert res.params.B == pytest.approx(truth.B, abs=2e-3)
     assert res.params.mu == pytest.approx(truth.mu, abs=2e-3)
@@ -108,7 +115,93 @@ def test_fit_no_convergence_when_budget_exhausted():
     truth = HyperParams(B=0.5, mu=0.4, alpha=0.15, n_th=0.01, d=4)
     data = _as_dataset(model_curve(truth))
     with pytest.raises(NoConvergenceError):
-        fit_parameters(data, n_starts=2, seed=0, max_evaluations=10)
+        fit_parameters(data, n_starts=2, max_evaluations=10)
+
+
+def _reference_objective(data, h):
+    """The shape objective from np.polyfit, written apart from the module's line fits."""
+    mn, mg2, mg3 = model_curve(h).T
+    dn, dg2, dg3 = np.array([(p.mean_n, p.g2, p.g3) for p in data]).T
+    sm, bm = np.polyfit(mg2, mg3, 1)
+    sd, bd = np.polyfit(dg2, dg3, 1)
+    pm, lm = np.polyfit(np.log(mn), np.log(mg2), 1)
+    pd, ld = np.polyfit(np.log(dn), np.log(dg2), 1)
+    line = np.mean((sm * dg2 + bm - (sd * dg2 + bd)) ** 2)
+    power = np.mean((np.exp(lm) * dn**pm - np.exp(ld) * dn**pd) ** 2)
+    return line + power
+
+
+def test_batched_objective_matches_objective_and_polyfit(h4):
+    data = _as_dataset(model_curve(HyperParams(h4.B, h4.mu, h4.alpha, h4.n_th, d=12)))
+    rng = np.random.default_rng(8)
+    lo, hi = np.array(DEFAULT_BOUNDS).T
+    rows = lo + rng.random((200, 4)) * (hi - lo)
+    batched = _objectives(_residuals(rows, 12, _target(data)))
+    single = [objective(data, HyperParams(*row, d=12)) for row in rows]
+    np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+    reference = [_reference_objective(data, HyperParams(*row, d=12)) for row in rows]
+    np.testing.assert_allclose(batched, reference, rtol=1e-8, atol=0)
+
+    penalized = [
+        (0.5, 1.0, 0.1, 0.0),  # mu outside [0, 1)
+        (0.5, -0.1, 0.1, 0.0),
+        (-0.1, 0.4, 0.1, 0.0),  # B < 0
+        (0.5, 0.4, 0.1, -0.01),  # n_th < 0
+        (math.nan, 0.4, 0.1, 0.0),  # non-finite
+        (0.5, 0.4, math.inf, 0.0),
+        (0.0, 0.4, 0.0, 0.0),  # vacuum prefix
+        (0.0, 0.4, 0.3, 0.0),  # coherent: g2 = 1 throughout, no x-spread
+    ]
+    assert list(_objectives(_residuals(np.array(penalized), 12, _target(data)))) == (
+        [PENALTY] * len(penalized))
+    assert [objective(data, HyperParams(*row, d=12)) for row in penalized] == (
+        [PENALTY] * len(penalized))
+    # data-side faults: a non-positive mean_n (power fit) and constant g2 (line fit)
+    for bad in ([DataSetPoint(-p.mean_n, p.g2, 0.01, p.g3, 0.05) for p in data],
+                [DataSetPoint(p.mean_n, 1.5, 0.01, p.g3, 0.05) for p in data]):
+        assert objective(bad, HyperParams(h4.B, h4.mu, h4.alpha, h4.n_th, d=12)) == PENALTY
+        with pytest.raises(DegenerateFitError):
+            fit_parameters(bad)
+
+
+def _recovers(res, truth) -> bool:
+    """Criterion 08's tolerance: every parameter within 1% of the truth, or 1e-4."""
+    got = (res.params.B, res.params.mu, res.params.alpha, res.params.n_th)
+    want = (truth.B, truth.mu, truth.alpha, truth.n_th)
+    return all(abs(g - w) <= max(0.01 * abs(w), 1e-4) for g, w in zip(got, want))
+
+
+def test_fit_h4_benchmark_box_one_start(h4):
+    truth = HyperParams(h4.B, h4.mu, h4.alpha, h4.n_th, d=12)
+    bounds = ((0.2, 0.8), (0.1, 0.7), (0.0, 0.4), (0.0, 0.05))
+    res = fit_parameters(_as_dataset(model_curve(truth)), bounds=bounds, n_starts=1)
+    assert res.converged
+    assert _recovers(res, truth)
+
+
+def test_fit_h5_default_box_two_starts(h5):
+    truth = HyperParams(h5.B, h5.mu, h5.alpha, h5.n_th, d=12)
+    res = fit_parameters(_as_dataset(model_curve(truth)), n_starts=2)
+    assert res.converged
+    assert _recovers(res, truth)
+
+
+def test_fit_noisy_curves_floor(h4, h5):
+    """18 curves with 0.3% multiplicative noise on every entry, default box, 16 starts.
+
+    The Nelder-Mead multistart that this fit replaced reached an objective
+    below 1e-6 on 11 of them, which sets the floor. On six others both fits
+    stop on the n_th = 0 face with the same objective, 5e-6 to 9e-4: there
+    the noisy shapes are out of the model's reach inside the box.
+    """
+    cases = [(h4, 50)] * 6 + [(h5, 50)] * 6 + [(h4, 12)] * 6
+    hits = 0
+    for i, (h, d) in enumerate(cases):
+        curve = model_curve(HyperParams(h.B, h.mu, h.alpha, h.n_th, d=d))
+        rng = np.random.default_rng(100 + i)
+        res = fit_parameters(_as_dataset(curve * (1.0 + 0.003 * rng.standard_normal(curve.shape))))
+        hits += res.objective_value < 1e-6
+    assert hits >= 11
 
 
 def test_fit_needs_three_points():
@@ -120,6 +213,8 @@ def test_fit_rejects_bad_bounds(h4):
     data = _as_dataset(model_curve(HyperParams(h4.B, h4.mu, h4.alpha, h4.n_th, d=6)))
     with pytest.raises(InvalidParameterError):
         fit_parameters(data, bounds=((0.0, 1.0), (0.5, 0.1), (0.0, 1.0), (0.0, 0.5)))
+    with pytest.raises(InvalidParameterError):
+        fit_parameters(data, n_starts=0)
 
 
 def _broken_power(x, a, p_low, p_high, xb):

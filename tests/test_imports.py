@@ -1,4 +1,4 @@
-"""scipy stays off the import path of the package, the CLI, `simulate` and analysis.
+"""scipy stays off the import path of the package, the CLI, `simulate`, analysis and `fit`.
 
 Each check runs in a fresh interpreter, since this test process may already
 have imported scipy.
@@ -70,7 +70,21 @@ def test_analysis_does_not_load_scipy(tmp_path, pair_tags, command):
                for p in tmp_path.iterdir())
 
 
+def test_fit_does_not_load_scipy(tmp_path):
+    from sqcorr import HyperParams, model_curve
+
+    data = tmp_path / "d.csv"
+    rows = model_curve(HyperParams(B=0.5, mu=0.4, alpha=0.15, n_th=0.01, d=6))
+    data.write_text("mean_n,g2,g2_err,g3,g3_err\n" + "".join(
+        f"{float(r[0])!r},{float(r[1])!r},0.01,{float(r[2])!r},0.05\n" for r in rows))
+    args = ["--out", str(tmp_path), "fit", str(data), "--n-starts", "2"]
+    assert not _loads_scipy(
+        "from sqcorr.cli import main\n"
+        f"main({args!r}, standalone_mode=False)")
+    assert json.loads((tmp_path / "fit.json").read_text())["converged"]
+
+
 def test_fit_still_finds_scipy():
-    """The probe itself can see scipy being loaded."""
+    """The probe itself can see scipy being loaded, by the crossover fit."""
     assert _loads_scipy("import sqcorr.estimation as e\n"
                         "e.crossover_fit([1, 2, 3, 4, 5], [1, 2, 3, 5, 8])")
