@@ -12,7 +12,6 @@ from .analysis import (
     AnalysisConfig,
     CorrelationEstimate,
     CsiResult,
-    aggregate_repetitions,
     csi_r,
     extract_g2,
     extract_g3,
@@ -58,7 +57,6 @@ from .simulate import (
     click_expectations,
     generate_timetags,
     pair_source_click_expectations,
-    sample_pulse_counts,
     state_photon_pmf,
 )
 from .states import (
@@ -66,11 +64,9 @@ from .states import (
     ModeParams,
     MultimodeState,
     NormallyOrderedMoments,
-    apply_loss,
     broadband_moments,
     combine_moments,
     expand_hyperparams,
-    mean_photon,
     mode_moments,
     mode_weights,
     per_mode_moments,
@@ -109,8 +105,6 @@ __all__ = [
     "SqcorrError",
     "TagStream",
     "TruncationError",
-    "aggregate_repetitions",
-    "apply_loss",
     "broadband_moments",
     "click_expectations",
     "coincidence_histogram_2",
@@ -124,7 +118,6 @@ __all__ = [
     "fit_parameters",
     "generate_timetags",
     "load_tags",
-    "mean_photon",
     "mode_density_matrix",
     "mode_moments",
     "mode_weights",
@@ -137,7 +130,6 @@ __all__ = [
     "read_dataset_csv",
     "read_tags",
     "read_tags_csv",
-    "sample_pulse_counts",
     "schmidt_number",
     "schmidt_number_mu",
     "squeezing_db",

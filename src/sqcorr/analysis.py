@@ -32,17 +32,13 @@ class AnalysisConfig:
     period. cv_max bounds the satellite coefficient of variation before the
     normalization is declared unusable; min_satellites is the fewest satellites
     a normalization may rest on. prominence_sigma is the 2D peak threshold in
-    units of the Poisson noise of the cell background. The first-period
-    row/column and the diagonal of the 2D grid carry same-pulse contamination
-    and are excluded by default.
+    units of the Poisson noise of the cell background.
     """
 
     min_satellites: int = 10
     cv_max: float = 0.5
     fit_window_frac: float = 0.25
     prominence_sigma: float = 5.0
-    exclude_diagonal: bool = True
-    exclude_first_row_col: bool = True
 
 
 @dataclass
@@ -170,9 +166,7 @@ def extract_g3(
     sat = []
     for i in span:
         for j in span:
-            if i == j and (i == 0 or cfg.exclude_diagonal):
-                continue
-            if cfg.exclude_first_row_col and (i == 0 or j == 0):
+            if i == j or i == 0 or j == 0:
                 continue
             cell = h.counts[span[i], span[j]]
             background = float(np.median(cell))
@@ -199,18 +193,3 @@ def csi_r(
         + (g2_jj.std_error / gjj) ** 2
     )
     return CsiResult(R=r, std_error=r * rel, g2_ii=g2_ii, g2_jj=g2_jj, g2_ij=g2_ij)
-
-
-def aggregate_repetitions(estimates) -> CorrelationEstimate:
-    """Mean over repeated runs; error is the sample standard deviation (n-1)."""
-    estimates = list(estimates)
-    if not estimates:
-        raise InvalidParameterError("no estimates to aggregate")
-    vals = np.array([e.value for e in estimates])
-    std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-    return CorrelationEstimate(
-        value=float(vals.mean()),
-        std_error=std,
-        n_satellites_used=int(min(e.n_satellites_used for e in estimates)),
-        satellite_cv=float(np.mean([e.satellite_cv for e in estimates])),
-    )

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Every subcommand writes its outputs plus a provenance.json (config hash,
-seed, library versions) into the --out directory, so a
-result can always be traced back to the exact inputs that produced it. No
+seed, and the sqcorr, numpy and Python versions) into the --out directory,
+so a result can always be traced back to the exact inputs that produced it. No
 timestamps go into outputs: rerunning with the same config and seed must
 give byte-identical files.
 
@@ -11,12 +11,10 @@ or truncation error.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 import sys
-from importlib.metadata import version
 from pathlib import Path
 
 import click
@@ -120,13 +118,6 @@ def _config_sha256(path: str | None) -> str | None:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@functools.cache
-def _scipy_version() -> str:
-    # read without importing scipy; cached, as each lookup scans sys.path and
-    # would otherwise repeat for every provenance.json a process writes
-    return version("scipy")
-
-
 def _write_provenance(ctx: click.Context, command: str, outputs: list[str]) -> None:
     obj = ctx.obj
     prov = {
@@ -137,7 +128,6 @@ def _write_provenance(ctx: click.Context, command: str, outputs: list[str]) -> N
         "versions": {
             "sqcorr": __version__,
             "numpy": np.__version__,
-            "scipy": _scipy_version(),
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     }
@@ -340,8 +330,8 @@ def analyze_g3(ctx, tagfile, channel_a, channel_b, channel_c, bin_ps, range_ps,
 @click.argument("tagfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--beam-i", type=int, default=0, show_default=True)
 @click.option("--beam-j", type=int, default=1, show_default=True)
-@click.option("--arms", type=int, default=2, show_default=True,
-              help="Detectors per beam (beam-major channel layout).")
+@click.option("--arms", type=click.IntRange(min=2), default=2, show_default=True,
+              help="Detectors per beam, at least 2 (beam-major channel layout).")
 @click.option("--bin-ps", type=int, default=DEFAULT_BIN_PS, show_default=True)
 @_hist_options
 @click.pass_context

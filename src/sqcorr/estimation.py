@@ -27,7 +27,7 @@ from .exceptions import (
     InvalidParameterError,
     NoConvergenceError,
 )
-from .states import HyperParams, mode_moments
+from .states import HyperParams, g2_g3_from_sums, mode_moments
 
 PENALTY = 1e6
 
@@ -150,10 +150,8 @@ def _curves(x: np.ndarray, d: int) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         m1, m2, m3 = mode_moments(B * (np.sqrt(1.0 - mu * mu) * mu ** np.arange(d)),
                                   0.0, alpha, n_th)
-        s1, s2, s3, p2, p3, x2 = np.cumsum(np.stack([m1, m2, m3, m1**2, m1**3, m2 * m1]), axis=2)
-        g2 = (s1 * s1 - p2 + s2) / (s1 * s1)
-        g3 = (s1**3 - 3.0 * s1 * p2 + 2.0 * p3 + 3.0 * (s2 * s1 - x2) + s3) / s1**3
-    return np.stack([s1, g2, g3], axis=-1)
+        sums = np.cumsum(np.stack([m1, m2, m3, m1**2, m1**3, m2 * m1]), axis=2)
+        return np.stack([sums[0], *g2_g3_from_sums(*sums)], axis=-1)
 
 
 def _line_fits(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,9 +377,14 @@ def _broken_line_sse(lx: np.ndarray, ly: np.ndarray, tb: float):
 def crossover_fit(intensity, yields) -> CrossoverFit:
     """Fit a continuous broken power law to yield-versus-intensity data.
 
-    Scans break candidates on a grid over the interior of the log-intensity
-    range, solving the conditionally linear problem in closed form at each,
-    then refines around the best candidate. When the data follow a single
+    The break is found exactly over [lx[1], lx[-2]], lx the sorted
+    log-intensities, by segmented regression with an unknown join (D. J.
+    Hudson, J. Am. Stat. Assoc. 61, 1097 (1966)). In each gap between
+    consecutive abscissae the free two-line fit is solved once: its join is
+    the gap's optimum if it falls inside the gap, and otherwise the optimum
+    sits on a gap edge. So the in-gap joins and every abscissa of the range,
+    its two ends included, hold the global optimum; the break is the
+    candidate with the lowest squared error. When the data follow a single
     power law the slope change collapses to zero and the break position is
     meaningless; the result is flagged degenerate with p_low == p_high.
     """
@@ -396,30 +399,20 @@ def crossover_fit(intensity, yields) -> CrossoverFit:
     order = np.argsort(x)
     lx, ly = np.log(x[order]), np.log(y[order])
 
-    def scan(candidates):
-        best = (math.inf, None, None)
-        for tb in candidates:
-            sse, coef = _broken_line_sse(lx, ly, tb)
-            if sse < best[0]:
-                best = (sse, float(tb), coef)
-        return best
-
     lo, hi = lx[1], lx[-2]
     if hi <= lo:
         lo, hi = lx[0], lx[-1]
-    _, tb, coef = scan(np.linspace(lo, hi, 200))
-    step = (hi - lo) / 199 if hi > lo else 0.0
-    if step > 0.0:
-        from scipy.optimize import minimize_scalar  # deferred: scipy is slow to import
-
-        res = minimize_scalar(
-            lambda t: _broken_line_sse(lx, ly, float(t))[0],
-            bounds=(tb - step, tb + step),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        tb = float(res.x)
-        _, coef = _broken_line_sse(lx, ly, tb)
+    candidates = [float(t) for t in lx[(lx >= lo) & (lx <= hi)]]
+    for a, b in zip(candidates[:-1], candidates[1:]):
+        above = (lx >= b).astype(float)
+        coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(lx), lx, lx * above, above]),
+                                   ly, rcond=None)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            join = float(-coef[3] / coef[2])
+        if a < join < b:
+            candidates.append(join)
+    tb = min(candidates, key=lambda t: _broken_line_sse(lx, ly, t)[0])
+    _, coef = _broken_line_sse(lx, ly, tb)
     p_low = float(coef[1])
     p_high = float(coef[1] + coef[2])
     degenerate = abs(p_high - p_low) <= 1e-6

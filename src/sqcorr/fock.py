@@ -12,8 +12,10 @@ rescaled.
 This oracle is the test certificate for the closed forms in the states
 module: it builds the state literally instead of assuming Gaussian pairing, so
 tests check m1, m2, m3, the broadband combination and the generating-function
-photon-number pmf against it. The runtime path does not call it, and scipy is
-imported only when it runs.
+photon-number pmf against it. The runtime path does not call it; it uses
+only thermal_pmf from here. This is the one module that imports scipy, and
+only when the oracle runs. scipy is not a runtime dependency: the oracle needs
+the `test` extra (`pip install 'sqcorr[test]'`).
 
 Normally ordered moments <a^+n a^n> come from the number diagonal with falling
 factorial weights. Truncation is adaptive: the dimension doubles until the

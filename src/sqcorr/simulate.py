@@ -162,20 +162,6 @@ def _as_state(source) -> MultimodeState:
     raise InvalidParameterError(f"unsupported source {type(source).__name__}")
 
 
-def _draw_from_pmf(pmf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    cdf = np.cumsum(pmf)
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, rng.random(n), side="right").astype(np.int64)
-
-
-def sample_pulse_counts(
-    source, n_pulses: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-pulse photon numbers for a multimode state (or hyperparameters)."""
-    pmf = state_photon_pmf(_as_state(source))
-    return _draw_from_pmf(pmf, n_pulses, rng)
-
-
 @dataclass(frozen=True)
 class ClickLaw:
     """Law of one clicking pulse, built once per run by click_law.

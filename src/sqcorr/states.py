@@ -203,28 +203,33 @@ def wick_moments(mode: ModeParams) -> NormallyOrderedMoments:
     return NormallyOrderedMoments(float(m1), float(m2), float(m3))
 
 
-def combine_moments(m1, m2, m3) -> tuple[float, float, float]:
-    """Broadband (S1, g2, g3) from arrays of per-mode moments.
+def g2_g3_from_sums(s1, s2, s3, p2, p3, x):
+    """Broadband g2, g3 of independent modes from sums of per-mode moments.
 
-    Statistically independent modes: expanding sum_{l,m} <a_l^+ a_m^+ a_l a_m>
-    and the three-index analogue over distinct/coincident mode indices gives
+    Expanding sum_{l,m} <a_l^+ a_m^+ a_l a_m> and the three-index analogue
+    over distinct/coincident mode indices gives
 
         g2 = (S1^2 - P2 + S2) / S1^2
         g3 = (S1^3 - 3 S1 P2 + 2 P3 + 3 (S2 S1 - X) + S3) / S1^3
 
-    with S_i the plain sums, P2 = sum m1^2, P3 = sum m1^3, X = sum m2 m1.
+    with S_i = sum m_i, P2 = sum m1^2, P3 = sum m1^3, X = sum m2 m1. The sums
+    may be floats or arrays (elementwise); S1 = 0 is not checked here.
     """
+    g2 = (s1 * s1 - p2 + s2) / (s1 * s1)
+    g3 = (s1**3 - 3.0 * s1 * p2 + 2.0 * p3 + 3.0 * (s2 * s1 - x) + s3) / s1**3
+    return g2, g3
+
+
+def combine_moments(m1, m2, m3) -> tuple[float, float, float]:
+    """Broadband (S1, g2, g3) from arrays of per-mode moments (see g2_g3_from_sums)."""
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
     m3 = np.asarray(m3, dtype=float)
     s1 = float(m1.sum())
     if s1 == 0.0:
         raise DegenerateStateError("vacuum state: g2, g3 undefined")
-    s2, s3 = float(m2.sum()), float(m3.sum())
-    p2, p3 = float((m1**2).sum()), float((m1**3).sum())
-    x = float((m2 * m1).sum())
-    g2 = (s1 * s1 - p2 + s2) / (s1 * s1)
-    g3 = (s1**3 - 3.0 * s1 * p2 + 2.0 * p3 + 3.0 * (s2 * s1 - x) + s3) / s1**3
+    g2, g3 = g2_g3_from_sums(s1, float(m2.sum()), float(m3.sum()), float((m1**2).sum()),
+                             float((m1**3).sum()), float((m2 * m1).sum()))
     return s1, g2, g3
 
 
@@ -238,18 +243,6 @@ def per_mode_moments(state: MultimodeState) -> list[NormallyOrderedMoments]:
 def broadband_moments(state: MultimodeState) -> tuple[float, float, float]:
     """(S1, g2, g3) of the full multimode state."""
     return combine_moments(*_state_moments(state))
-
-
-def mean_photon(state: MultimodeState) -> float:
-    """Mean photons per pulse, sum of |alpha_k|^2 + N_k."""
-    return float(_state_moments(state)[0].sum())
-
-
-def apply_loss(m: NormallyOrderedMoments, eta: float) -> NormallyOrderedMoments:
-    """Scale moments under binomial loss: m_n -> eta^n m_n. Leaves g2, g3 unchanged."""
-    if not (0.0 <= eta <= 1.0):
-        raise InvalidParameterError(f"transmission must lie in [0, 1], got {eta}")
-    return NormallyOrderedMoments(eta * m.m1, eta * eta * m.m2, eta**3 * m.m3)
 
 
 def schmidt_number(lambdas) -> float:

@@ -11,7 +11,6 @@ from sqcorr import (
     InvalidParameterError,
     LASER_PERIOD_PS,
     PoorNormalizationError,
-    aggregate_repetitions,
     csi_r,
     extract_g2,
     extract_g3,
@@ -243,20 +242,3 @@ def test_csi_r_error_propagation():
 def test_csi_r_rejects_nonpositive_auto():
     with pytest.raises(InvalidParameterError):
         csi_r(_est(0.0), _est(1.0), _est(1.0))
-
-
-def test_aggregate_pair():
-    agg = aggregate_repetitions([_est(1.0), _est(3.0)])
-    assert agg.value == 2.0
-    assert agg.std_error == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-
-def test_aggregate_single():
-    agg = aggregate_repetitions([_est(1.5)])
-    assert agg.value == 1.5
-    assert agg.std_error == 0.0
-
-
-def test_aggregate_empty_rejected():
-    with pytest.raises(InvalidParameterError):
-        aggregate_repetitions([])

@@ -44,6 +44,7 @@ def test_simulate_writes_tags_and_provenance(runner, tmp_path):
     assert prov["command"] == "simulate"
     assert prov["seed"] == 11
     assert "backend" not in prov and "threads" not in prov
+    assert set(prov["versions"]) == {"sqcorr", "numpy", "python"}
     assert len(prov["config_sha256"]) == 64
 
 
@@ -151,6 +152,20 @@ def test_csi_command(runner, tmp_path):
     payload = json.loads((out / "csi.json").read_text())
     assert payload["R"] > 1.0
     assert payload["g2_ij"]["value"] > payload["g2_ii"]["value"]
+
+
+@pytest.mark.parametrize("arms", ["1", "0"])
+def test_csi_fewer_than_two_arms_exits_2(runner, tmp_path, arms):
+    """Below 2 arms the auto-correlation pairs would cross beams or repeat a channel."""
+    cfg = {
+        "source": {"kind": "pair", "n_bar": 0.5, "n_beams": 3},
+        "optics": {"eta": 0.3, "n_pulses": 20_000},
+    }
+    out = _simulate(runner, tmp_path, cfg=cfg)
+    res = runner.invoke(main, ["--out", str(out), "csi", str(out / "tags.bin"),
+                               "--arms", arms])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert not (out / "csi.json").exists()
 
 
 def test_fit_command(runner, tmp_path):

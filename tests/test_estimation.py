@@ -232,6 +232,21 @@ def test_crossover_noiseless_recovery():
     assert res.break_intensity == pytest.approx(0.7, rel=0.02)
 
 
+def test_crossover_break_just_above_second_point():
+    """A break 0.2% above x[1] is an exact optimum inside the searched range.
+
+    A grid scan with a local refine missed it here, returning p_low 1.660
+    and a break below x[1].
+    """
+    x = np.geomspace(0.05, 20.0, 48)
+    xb = 1.002 * x[1]
+    res = crossover_fit(x, _broken_power(x, 2.0, 2.0, 5.3, xb))
+    assert not res.degenerate
+    assert res.p_low == pytest.approx(2.0, abs=1e-6)
+    assert res.p_high == pytest.approx(5.3, abs=1e-6)
+    assert res.break_intensity == pytest.approx(xb, rel=1e-6)
+
+
 def test_crossover_scale_equivariance():
     x = np.geomspace(0.05, 20.0, 40)
     y = _broken_power(x, 2.0, 2.0, 5.0, 0.7)

@@ -1,7 +1,8 @@
-"""scipy stays off the import path of the package, the CLI, `simulate`, analysis and `fit`.
+"""scipy stays off the runtime: the package, the CLI and all seven commands run without it.
 
-Each check runs in a fresh interpreter, since this test process may already
-have imported scipy.
+Each check runs in a fresh interpreter whose import system refuses scipy, since
+this test process may already have imported it. A command that reaches for
+scipy fails there instead of loading it.
 """
 import json
 import subprocess
@@ -9,12 +10,35 @@ import sys
 
 import pytest
 
+_BLOCK_SCIPY = """\
+import sys
+
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+
+
+sys.meta_path.insert(0, _NoScipy())
+"""
+
 
 def _loads_scipy(code: str) -> bool:
-    probe = code + "\nimport sys\nprint('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          timeout=120, check=True)
-    return proc.stdout.strip().splitlines()[-1] == "True"
+    """Whether code, run with scipy blocked, tries to import it; any other failure raises."""
+    proc = subprocess.run([sys.executable, "-c", _BLOCK_SCIPY + code], capture_output=True,
+                          text=True, timeout=120)
+    if proc.returncode == 0:
+        return False
+    assert "scipy is blocked" in proc.stderr, proc.stderr
+    return True
+
+
+def _runs_without_scipy(args: list[str]) -> bool:
+    """Whether `sqcorr args` exits 0 with scipy blocked."""
+    return not _loads_scipy(
+        "from sqcorr.cli import main\n"
+        f"main({args!r}, standalone_mode=False)")
 
 
 @pytest.mark.parametrize("module", ["sqcorr", "sqcorr.cli"])
@@ -34,11 +58,8 @@ def test_simulate_does_not_load_scipy(tmp_path, source):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"source": source,
                                   "optics": {"eta": 0.045, "n_pulses": 50_000}}))
-    args = ["--config", str(config), "--seed", "1", "--out", str(tmp_path / "out"),
-            "simulate"]
-    assert not _loads_scipy(
-        "from sqcorr.cli import main\n"
-        f"main({args!r}, standalone_mode=False)")
+    assert _runs_without_scipy(["--config", str(config), "--seed", "1",
+                                "--out", str(tmp_path / "out"), "simulate"])
     assert (tmp_path / "out" / "tags.bin").stat().st_size > 16
 
 
@@ -62,10 +83,8 @@ def pair_tags(tmp_path_factory):
     ids=["analyze-g2", "analyze-g3", "csi"],
 )
 def test_analysis_does_not_load_scipy(tmp_path, pair_tags, command):
-    args = ["--out", str(tmp_path), command[0], str(pair_tags), *command[1:]]
-    assert not _loads_scipy(
-        "from sqcorr.cli import main\n"
-        f"main({args!r}, standalone_mode=False)")
+    assert _runs_without_scipy(["--out", str(tmp_path), command[0], str(pair_tags),
+                                *command[1:]])
     assert any(p.suffix == ".json" and p.name != "provenance.json"
                for p in tmp_path.iterdir())
 
@@ -77,14 +96,26 @@ def test_fit_does_not_load_scipy(tmp_path):
     rows = model_curve(HyperParams(B=0.5, mu=0.4, alpha=0.15, n_th=0.01, d=6))
     data.write_text("mean_n,g2,g2_err,g3,g3_err\n" + "".join(
         f"{float(r[0])!r},{float(r[1])!r},0.01,{float(r[2])!r},0.05\n" for r in rows))
-    args = ["--out", str(tmp_path), "fit", str(data), "--n-starts", "2"]
-    assert not _loads_scipy(
-        "from sqcorr.cli import main\n"
-        f"main({args!r}, standalone_mode=False)")
+    assert _runs_without_scipy(["--out", str(tmp_path), "fit", str(data), "--n-starts", "2"])
     assert json.loads((tmp_path / "fit.json").read_text())["converged"]
 
 
+def test_crossover_does_not_load_scipy(tmp_path):
+    data = tmp_path / "c.csv"
+    data.write_text("intensity,yield\n1,1\n2,2\n3,3\n4,5\n5,8\n")
+    assert _runs_without_scipy(["--out", str(tmp_path), "crossover", str(data)])
+    assert json.loads((tmp_path / "crossover.json").read_text())["p_high"] > 1.0
+
+
+def test_report_does_not_load_scipy(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"source": {"kind": "hyper", "B": 0.471, "mu": 0.4226,
+                                             "alpha": 0.127, "n_th": 0.001, "d": 50}}))
+    assert _runs_without_scipy(["--config", str(config), "--out", str(tmp_path), "report"])
+    assert (tmp_path / "report.json").exists()
+
+
 def test_fit_still_finds_scipy():
-    """The probe itself can see scipy being loaded, by the crossover fit."""
-    assert _loads_scipy("import sqcorr.estimation as e\n"
-                        "e.crossover_fit([1, 2, 3, 4, 5], [1, 2, 3, 5, 8])")
+    """The probe itself sees an import of scipy, by the test-only Fock oracle."""
+    assert _loads_scipy("from sqcorr import ModeParams, oracle_moments\n"
+                        "oracle_moments(ModeParams(r=0.3))")

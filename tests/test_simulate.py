@@ -19,9 +19,7 @@ from sqcorr import (
     expand_hyperparams,
     generate_timetags,
     load_tags,
-    mean_photon,
     pair_source_click_expectations,
-    sample_pulse_counts,
     state_photon_pmf,
 )
 from sqcorr.fock import photon_number_pmf, thermal_pmf
@@ -62,17 +60,9 @@ def test_state_pmf_moments_match_broadband(h4):
     assert float(np.dot(p, n * (n - 1))) == pytest.approx(g2 * s1 * s1, rel=1e-8)
 
 
-def test_sample_pulse_counts_statistics(rng):
-    state = MultimodeState((ModeParams(n_th=0.5),))
-    n = sample_pulse_counts(state, 200_000, rng)
-    sigma_mean = math.sqrt(0.5 * 1.5 / n.size)
-    assert n.mean() == pytest.approx(0.5, abs=5 * sigma_mean)
-    assert n.min() >= 0
-
-
-def test_sample_rejects_unknown_source(rng):
+def test_sample_rejects_unknown_source(tmp_path):
     with pytest.raises(InvalidParameterError):
-        sample_pulse_counts(object(), 10, rng)
+        generate_timetags(object(), OpticsConfig(eta=0.5, n_pulses=10), 0, tmp_path / "t.bin")
 
 
 @pytest.mark.parametrize(
@@ -382,7 +372,7 @@ def test_mean_photon_consistent_with_pmf(h4):
     state = expand_hyperparams(HyperParams(h4.B, h4.mu, h4.alpha, h4.n_th, d=6))
     p = state_photon_pmf(state)
     assert float(np.dot(p, np.arange(p.size))) == pytest.approx(
-        mean_photon(state), rel=1e-9
+        broadband_moments(state)[0], rel=1e-9
     )
 
 

@@ -14,14 +14,11 @@ from sqcorr import (
     InvalidParameterError,
     ModeParams,
     MultimodeState,
-    NormallyOrderedMoments,
     OpticsConfig,
-    apply_loss,
     broadband_moments,
     combine_moments,
     expand_hyperparams,
     generate_timetags,
-    mean_photon,
     mode_moments,
     mode_weights,
     model_curve,
@@ -160,21 +157,11 @@ def test_loss_scaling_preserves_g2_g3(rng):
     m3 = rng.uniform(0.01, 5.0, 6)
     s1a, g2a, g3a = combine_moments(m1, m2, m3)
     eta = 0.17
-    lossy = [
-        apply_loss(NormallyOrderedMoments(a, b, c), eta)
-        for a, b, c in zip(m1, m2, m3)
-    ]
-    s1b, g2b, g3b = combine_moments(
-        [m.m1 for m in lossy], [m.m2 for m in lossy], [m.m3 for m in lossy]
-    )
+    # binomial loss scales the normally ordered moments as m_n -> eta^n m_n
+    s1b, g2b, g3b = combine_moments(eta * m1, eta**2 * m2, eta**3 * m3)
     assert s1b == pytest.approx(eta * s1a, rel=1e-12)
     assert g2b == pytest.approx(g2a, rel=1e-12)
     assert g3b == pytest.approx(g3a, rel=1e-12)
-
-
-def test_apply_loss_validates_eta():
-    with pytest.raises(InvalidParameterError):
-        apply_loss(NormallyOrderedMoments(1.0, 1.0, 1.0), 1.5)
 
 
 def test_broadband_reference_h4(h4):
@@ -194,7 +181,7 @@ def test_broadband_reference_h5(h5):
 def test_mean_photon_matches_oracle(h4):
     state = expand_hyperparams(h4)
     mom = per_mode_moments(state)
-    assert mean_photon(state) == pytest.approx(sum(m.m1 for m in mom), rel=1e-9)
+    assert broadband_moments(state)[0] == pytest.approx(sum(m.m1 for m in mom), rel=1e-9)
 
 
 def test_mode_weights_shape_and_norm():
