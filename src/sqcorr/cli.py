@@ -236,30 +236,57 @@ _REP_RATE_FALLBACK = (
 )
 
 
-def _rep_rate_in(cfg, where: str) -> float | None:
-    """optics.rep_rate_hz of a config or sidecar dict, or None if absent."""
+def _optics_entry(cfg, key: str, where: str):
+    """(optics[key], where) of a config or sidecar dict, or None if absent."""
     try:
-        rate = cfg.get("optics", {}).get("rep_rate_hz")
-        return None if rate is None else float(rate)
-    except (AttributeError, TypeError, ValueError) as e:
+        value = cfg.get("optics", {}).get(key)
+    except AttributeError as e:
         _fail(EXIT_CONFIG, f"bad optics in {where}: {e!r}")
+    return None if value is None else (value, where)
+
+
+def _recorded_optics(ctx: click.Context, tagfile: str, key: str):
+    """(optics[key], where) from the config, else from the tags.json next to
+    the tag file, else None."""
+    found = _optics_entry(ctx.obj["config"], key, "config")
+    sidecar = Path(tagfile).parent / "tags.json"
+    if found is None and sidecar.exists():
+        try:
+            found = _optics_entry(json.loads(sidecar.read_bytes()), key, str(sidecar))
+        except (OSError, json.JSONDecodeError) as e:
+            _fail(EXIT_DATA, f"cannot read {sidecar}: {e}")
+    return found
 
 
 def _period_ps(ctx: click.Context, rep_rate_hz: float | None, tagfile: str) -> float:
     """Pulse period from --rep-rate-hz, else from _REP_RATE_FALLBACK in order."""
     if rep_rate_hz is None:
-        rep_rate_hz = _rep_rate_in(ctx.obj["config"], "config")
-    sidecar = Path(tagfile).parent / "tags.json"
-    if rep_rate_hz is None and sidecar.exists():
+        found = _recorded_optics(ctx, tagfile, "rep_rate_hz")
         try:
-            rep_rate_hz = _rep_rate_in(json.loads(sidecar.read_bytes()), str(sidecar))
-        except (OSError, json.JSONDecodeError) as e:
-            _fail(EXIT_DATA, f"cannot read {sidecar}: {e}")
-    if rep_rate_hz is None:
-        rep_rate_hz = DEFAULT_REP_RATE_HZ
+            rep_rate_hz = DEFAULT_REP_RATE_HZ if found is None else float(found[0])
+        except (TypeError, ValueError) as e:
+            _fail(EXIT_CONFIG, f"bad optics in {found[1]}: {e!r}")
     if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0.0):
         _fail(EXIT_CONFIG, f"rep_rate_hz must be > 0, got {rep_rate_hz}")
     return 1e12 / rep_rate_hz
+
+
+def _arms(ctx: click.Context, arms: int | None, tagfile: str) -> int:
+    """Detectors per beam: the length of the recorded optics.splitter, which
+    --arms must match if both are given; 2 if neither is."""
+    found = _recorded_optics(ctx, tagfile, "splitter")
+    if found is None:
+        return 2 if arms is None else arms
+    splitter, where = found
+    if not isinstance(splitter, list):
+        _fail(EXIT_CONFIG, f"bad optics in {where}: splitter {splitter!r} is not a list")
+    if arms is not None and arms != len(splitter):
+        _fail(EXIT_CONFIG, f"--arms {arms} disagrees with the {len(splitter)} arms "
+                           f"of optics.splitter in {where}")
+    if len(splitter) < 2:
+        _fail(EXIT_CONFIG, f"csi needs at least 2 arms per beam; optics.splitter in "
+                           f"{where} has {len(splitter)}")
+    return len(splitter)
 
 
 def _hist_options(fn):
@@ -330,15 +357,20 @@ def analyze_g3(ctx, tagfile, channel_a, channel_b, channel_c, bin_ps, range_ps,
 @click.argument("tagfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--beam-i", type=int, default=0, show_default=True)
 @click.option("--beam-j", type=int, default=1, show_default=True)
-@click.option("--arms", type=click.IntRange(min=2), default=2, show_default=True,
-              help="Detectors per beam, at least 2 (beam-major channel layout).")
+@click.option("--arms", type=click.IntRange(min=2), default=None,
+              help="Detectors per beam, at least 2 (beam-major channel layout) "
+                   "[default: the length of optics.splitter in the config, else "
+                   "in the tags.json next to the tag file, else 2].")
 @click.option("--bin-ps", type=int, default=DEFAULT_BIN_PS, show_default=True)
 @_hist_options
 @click.pass_context
 @_guarded
 def csi(ctx, tagfile, beam_i, beam_j, arms, bin_ps, range_ps, rep_rate_hz):
     """Cauchy-Schwarz test R = g2_ij^2 / (g2_ii g2_jj) between two beams."""
+    if beam_i == beam_j:
+        _fail(EXIT_CONFIG, f"--beam-i and --beam-j must differ, both are {beam_i}")
     period = _period_ps(ctx, rep_rate_hz, tagfile)
+    arms = _arms(ctx, arms, tagfile)
     tags = load_tags(tagfile)
     ci, cj = beam_i * arms, beam_j * arms
 

@@ -6,6 +6,9 @@ center: the window lower edge is lo_edge = -(nbins//2 * bin + bin//2), and a
 delay d in [lo_edge, lo_edge + nbins*bin) falls in bin (d - lo_edge) // bin.
 Anchors are processed in chunks, and triples in batches of anchors, to bound
 memory; partial histograms add, so the result is independent of either size.
+The anchors are split into at least one share per core in the process's
+affinity mask and the shares are binned in parallel (sqcorr.parallel); the
+counts do not depend on how many cores, and `taskset` limits them.
 Streams too large for memory would chunk both channels with overlap equal to
 the window; the reader here holds channels in memory, so anchor chunking alone
 is exact.
@@ -18,6 +21,7 @@ import numpy as np
 
 from .constants import LASER_PERIOD_PS
 from .exceptions import EmptyChannelError, InvalidParameterError
+from .parallel import parallel_map, shares
 from .tags import TagStream
 
 DEFAULT_BIN_PS = 100
@@ -99,10 +103,13 @@ def _hist2d(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, bin_ps: int,
     """Counts of (t1 - t0, t2 - t0) per 2D bin, over every triple in the window."""
     lo_edge = _lo_edge(bin_ps, nbins)
     hi_excl = lo_edge + nbins * bin_ps
-    lo1, m1 = _windows(t0, t1, lo_edge, hi_excl)
     lo2, m2 = _windows(t0, t2, lo_edge, hi_excl)
-    # anchors with no t2 partner form no triple, so their t1 pairs are never made
-    m1[m2 == 0] = 0
+    # anchors with no t2 partner form no triple, so their t1 windows are never searched
+    busy = np.flatnonzero(m2)
+    if busy.size == 0:
+        return np.zeros((nbins, nbins), dtype=np.int64)
+    t0, lo2, m2 = t0[busy], lo2[busy], m2[busy]
+    lo1, m1 = _windows(t0, t1, lo_edge, hi_excl)
     # the expanded arrays grow with the triple count, not the anchor count, so
     # anchors go in batches of about _CHUNK_TRIPLES triples each
     ends = np.cumsum(m1 * m2)
@@ -164,10 +171,9 @@ def coincidence_histogram_2(
     ta = _get_channel(tags, ch_a)
     tb = _get_channel(tags, ch_b)
     nbins = _nbins(range_ps, bin_width_ps)
-    counts = np.zeros(nbins, dtype=np.int64)
-    for s in range(0, ta.size, chunk_anchors):
-        counts += _hist1d(ta[s : s + chunk_anchors], tb, bin_width_ps, nbins)
-    return Histogram1D(bin_width_ps, counts, _acquisition_s((ta, tb)))
+    parts = parallel_map(lambda s: _hist1d(ta[s], tb, bin_width_ps, nbins),
+                         shares(ta.size, chunk_anchors))
+    return Histogram1D(bin_width_ps, sum(parts), _acquisition_s((ta, tb)))
 
 
 def coincidence_histogram_3(
@@ -189,25 +195,25 @@ def coincidence_histogram_3(
     t1 = _get_channel(tags, ch_b)
     t2 = _get_channel(tags, ch_c)
     nbins = _nbins(range_ps, bin_width_ps)
-    counts = np.zeros((nbins, nbins), dtype=np.int64)
-    for s in range(0, t0.size, chunk_anchors):
-        counts += _hist2d(t0[s : s + chunk_anchors], t1, t2, bin_width_ps, nbins)
-    return Histogram2D(bin_width_ps, counts, _acquisition_s((t0, t1, t2)))
+    parts = parallel_map(lambda s: _hist2d(t0[s], t1, t2, bin_width_ps, nbins),
+                         shares(t0.size, chunk_anchors))
+    return Histogram2D(bin_width_ps, sum(parts), _acquisition_s((t0, t1, t2)))
+
+
+def _write_int_csv(path, header: str, *columns: np.ndarray) -> None:
+    """The header line, then one row of comma-separated integers per column entry."""
+    table = np.stack(columns, axis=1)
+    row = ",".join(["%d"] * len(columns)) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n" + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def histogram_to_csv(hist: Histogram1D, path) -> None:
-    centers = hist.bin_centers()
-    with open(path, "w") as f:
-        f.write("delay_ps,counts\n")
-        for c, n in zip(centers, hist.counts):
-            f.write(f"{c},{n}\n")
+    _write_int_csv(path, "delay_ps,counts", hist.bin_centers(), hist.counts)
 
 
 def histogram2d_to_csv(hist: Histogram2D, path) -> None:
     centers = hist.bin_centers()
-    with open(path, "w") as f:
-        f.write("delay1_ps,delay2_ps,counts\n")
-        for i, c1 in enumerate(centers):
-            row = hist.counts[i]
-            for j in np.flatnonzero(row):
-                f.write(f"{c1},{centers[j]},{row[j]}\n")
+    i, j = np.nonzero(hist.counts)  # row-major, the order the rows are written in
+    _write_int_csv(path, "delay1_ps,delay2_ps,counts", centers[i], centers[j],
+                   hist.counts[i, j])

@@ -19,7 +19,9 @@ to [1, Bn] and the photons after it are detected freely. K is split over the
 beams hypergeometrically (each holds n) and each beam's share over its arms.
 Pulses are taken in fixed-size blocks seeded from spawned sub-streams, so
 output files are bit-identical for a given (config, seed) regardless of how
-generation is scheduled, and no array spans all pulses.
+generation is scheduled, and no array spans all pulses. The blocks are drawn
+on every core in the process's affinity mask (sqcorr.parallel); the files do
+not depend on how many, and `taskset` limits them.
 
 Binary detectors bias click-based correlation estimates at O(click
 probability); click_expectations provides the exact analytic click-level
@@ -36,6 +38,7 @@ import numpy as np
 from .constants import DEFAULT_JITTER_SIGMA_PS, DEFAULT_REP_RATE_HZ
 from .exceptions import InvalidParameterError, TruncationError
 from .fock import thermal_pmf
+from .parallel import parallel_map
 from .states import (
     HyperParams,
     MultimodeState,
@@ -76,7 +79,7 @@ class OpticsConfig:
             raise InvalidParameterError(f"bad splitter ratios {self.splitter}")
         if abs(sum(self.splitter) - 1.0) > 1e-9:
             raise InvalidParameterError("splitter ratios must sum to 1")
-        if self.jitter_sigma_ps < 0.0 or self.dead_time_ps < 0.0:
+        if not (self.jitter_sigma_ps >= 0.0 and self.dead_time_ps >= 0.0):
             raise InvalidParameterError("jitter and dead time must be >= 0")
         if self.rep_rate_hz <= 0.0:
             raise InvalidParameterError("rep_rate_hz must be > 0")
@@ -277,15 +280,25 @@ def sample_clicks(
 
 
 def _suppress_dead_time(t_sorted: np.ndarray, dead_ps: float) -> np.ndarray:
+    """Drop every tag closer than dead_ps after the last kept tag of its channel.
+
+    A tag at least dead_ps after its predecessor heads a run and is kept. In
+    each run the tag kept after t[k] is the first at or after t[k] + dead_ps,
+    so all runs jump at once, one kept tag per pass, until each run ends.
+    """
     if dead_ps <= 0.0 or t_sorted.size == 0:
         return t_sorted
-    keep = np.ones(t_sorted.size, dtype=bool)
-    last = t_sorted[0]
-    for i in range(1, t_sorted.size):
-        if t_sorted[i] - last < dead_ps:
-            keep[i] = False
-        else:
-            last = t_sorted[i]
+    if dead_ps > t_sorted[-1] - t_sorted[0]:
+        return t_sorted[:1]
+    dead = math.ceil(dead_ps)  # tags are whole ps: gap >= dead_ps iff gap >= dead
+    k = np.concatenate(([0], np.flatnonzero(np.diff(t_sorted) >= dead) + 1))  # run heads
+    end = np.append(k[1:], t_sorted.size)  # each run's end
+    keep = np.zeros(t_sorted.size, dtype=bool)
+    while k.size:
+        keep[k] = True
+        k = np.searchsorted(t_sorted, t_sorted[k] + dead, side="left")
+        inside = k < end
+        k, end = k[inside], end[inside]
     return t_sorted[keep]
 
 
@@ -301,8 +314,9 @@ def generate_timetags(
     source is a MultimodeState, HyperParams, or PairSourceConfig. For a pair
     source the same photon number enters every beam, and each beam gets its
     own splitter copy; channels are numbered beam-major. Only clicking pulses
-    are drawn (see the module docstring), block by block. Returns the sidecar
-    dict (true parameters, analytic targets, measured click rates).
+    are drawn (see the module docstring), block by block, with the blocks
+    spread over the process's cores. Returns the sidecar dict (true
+    parameters, analytic targets, measured click rates).
     """
     optics.validate()
     pair = isinstance(source, PairSourceConfig)
@@ -314,21 +328,20 @@ def generate_timetags(
         law = click_law(state_photon_pmf(state), 1, optics.eta)
     n_channels = law.n_beams * optics.n_arms
 
-    n_blocks = max(1, -(-optics.n_pulses // _BLOCK_PULSES))
+    n_blocks = -(-optics.n_pulses // _BLOCK_PULSES)
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
-    per_channel = [[] for _ in range(n_channels)]
-    for b in range(n_blocks):
+
+    def draw_block(b: int) -> list[np.ndarray]:
         start = b * _BLOCK_PULSES
         size = min(_BLOCK_PULSES, optics.n_pulses - start)
-        if size <= 0:
-            break
-        times = sample_clicks(law, optics, np.random.default_rng(seeds[b]), size, start)
-        for ch, t in enumerate(times):
-            per_channel[ch].append(t)
+        return sample_clicks(law, optics, np.random.default_rng(seeds[b]), size, start)
 
+    blocks = parallel_map(draw_block, range(n_blocks))
     streams, clicks_total = [], []
-    for parts in per_channel:
-        t = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+    for ch in range(n_channels):
+        t = np.concatenate([np.empty(0, dtype=np.int64)] + [times[ch] for times in blocks])
+        # blocks come in pulse order, each sorted up to jitter: a merge sort's best case
+        t = np.sort(t, kind="stable")
         clicks_total.append(t.size)
         streams.append(_suppress_dead_time(t, optics.dead_time_ps))
     writer = write_tags_csv if str(path).endswith(".csv") else write_tags

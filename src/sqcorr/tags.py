@@ -81,25 +81,28 @@ def write_tags(path, by_channel, channel_count: int | None = None) -> None:
     """Write per-channel timestamp arrays as a binary tag file.
 
     Records are merged and sorted by (timestamp, channel) so identical inputs
-    produce identical bytes.
+    produce identical bytes: a stable sort of the channel-major concatenation
+    keeps equal timestamps in channel order.
     """
     by_channel = [np.asarray(ch, dtype=np.int64) for ch in by_channel]
     if channel_count is None:
         channel_count = len(by_channel)
     if channel_count < len(by_channel):
         raise DataFormatError("channel_count smaller than supplied channel list")
-    n = sum(ch.size for ch in by_channel)
-    rec = np.zeros(n, dtype=TAG_DTYPE)
-    pos = 0
-    for c, ch in enumerate(by_channel):
-        rec["channel"][pos : pos + ch.size] = c
-        rec["timestamp_ps"][pos : pos + ch.size] = ch
-        pos += ch.size
-    order = np.lexsort((rec["channel"], rec["timestamp_ps"]))
-    rec = rec[order]
+    if len(by_channel) > 256:
+        raise DataFormatError("a record holds a u8 channel: at most 256 channels")
+    ts = np.concatenate(by_channel or [np.empty(0, dtype=np.int64)])
+    order = np.argsort(ts, kind="stable")
+    channel = np.repeat(np.arange(len(by_channel), dtype=np.uint8),
+                        [ch.size for ch in by_channel])[order]
+    ts = ts[order]
+    del order
+    rec = np.zeros(ts.size, dtype=TAG_DTYPE)
+    rec["timestamp_ps"] = ts
+    rec["channel"] = channel
     with open(path, "wb") as f:
         f.write(HEADER.pack(MAGIC, FORMAT_VERSION, channel_count, 0))
-        f.write(rec.tobytes())
+        f.write(rec.data)
 
 
 def read_tags(path) -> TagStream:

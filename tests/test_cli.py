@@ -168,6 +168,55 @@ def test_csi_fewer_than_two_arms_exits_2(runner, tmp_path, arms):
     assert not (out / "csi.json").exists()
 
 
+PAIR3_CONFIG = {
+    "source": {"kind": "pair", "n_bar": 0.5, "n_beams": 3},
+    "optics": {"eta": 0.3, "n_pulses": 60_000},
+}
+
+
+def test_csi_same_beam_exits_2(runner, tmp_path):
+    """A beam against itself would histogram one channel against itself."""
+    out = _simulate(runner, tmp_path, cfg=PAIR3_CONFIG)
+    res = runner.invoke(main, ["--out", str(out), "csi", str(out / "tags.bin"),
+                               "--beam-i", "0", "--beam-j", "0"])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert not (out / "csi.json").exists()
+
+
+def _csi(runner, out, *args, config=None):
+    (out / "csi.json").unlink(missing_ok=True)
+    head = ["--config", config] if config else []
+    res = runner.invoke(main, head + ["--out", str(out), "csi", str(out / "tags.bin"),
+                                      "--beam-j", "2", *args])
+    payload = (out / "csi.json").read_bytes() if (out / "csi.json").exists() else None
+    return res.exit_code, payload
+
+
+def test_csi_arms_follow_recorded_layout(runner, tmp_path):
+    cfg = dict(PAIR3_CONFIG, optics=dict(PAIR3_CONFIG["optics"], splitter=[0.4, 0.3, 0.3]))
+    out = _simulate(runner, tmp_path, cfg=cfg)
+    config = _write_config(tmp_path, cfg)
+    # the sidecar records three arms: the default follows it, --arms 2 contradicts it
+    code, three = _csi(runner, out, "--arms", "3")
+    assert code == 0 and three is not None
+    assert _csi(runner, out) == (0, three)
+    assert _csi(runner, out, "--arms", "2") == (EXIT_CONFIG, None)
+    # without the sidecar the config records the layout
+    (out / "tags.json").unlink()
+    assert _csi(runner, out, config=config) == (0, three)
+    assert _csi(runner, out, "--arms", "2", config=config) == (EXIT_CONFIG, None)
+    # with neither, --arms is taken as given and defaults to 2
+    assert _csi(runner, out, "--arms", "3") == (0, three)
+    code, two = _csi(runner, out)
+    assert code == 0 and two != three
+
+
+def test_csi_one_arm_layout_exits_2(runner, tmp_path):
+    cfg = dict(PAIR3_CONFIG, optics=dict(PAIR3_CONFIG["optics"], splitter=[1.0]))
+    out = _simulate(runner, tmp_path, cfg=cfg)
+    assert _csi(runner, out) == (EXIT_CONFIG, None)
+
+
 def test_fit_command(runner, tmp_path):
     from sqcorr import HyperParams, model_curve
 

@@ -202,3 +202,84 @@ def test_histogram2d_csv_sparse(tmp_path):
     assert lines[0] == "delay1_ps,delay2_ps,counts"
     total = sum(int(l.split(",")[2]) for l in lines[1:])
     assert total == h.counts.sum()
+
+
+def _csv_loop(hist, path):
+    """Reference 1D writer: one formatted numpy-scalar row at a time."""
+    with open(path, "w") as f:
+        f.write("delay_ps,counts\n")
+        for c, n in zip(hist.bin_centers(), hist.counts):
+            f.write(f"{c},{n}\n")
+
+
+def _csv2d_loop(hist, path):
+    """Reference 2D writer: the nonzero cells row by row."""
+    centers = hist.bin_centers()
+    with open(path, "w") as f:
+        f.write("delay1_ps,delay2_ps,counts\n")
+        for i, c1 in enumerate(centers):
+            row = hist.counts[i]
+            for j in np.flatnonzero(row):
+                f.write(f"{c1},{centers[j]},{row[j]}\n")
+
+
+def test_csv_writers_match_row_loops(tmp_path, rng):
+    t0, t1, t2 = (np.sort(rng.integers(-10**6, 10**7, n)).astype(np.int64)
+                  for n in (800, 700, 600))
+    tags = _stream(t0, t1, t2)
+    h1 = coincidence_histogram_2(tags, 0, 1, 100, 300_000.0, period_ps=1000.0)
+    h2 = coincidence_histogram_3(tags, 0, 1, 2, 100, 30_000.0, period_ps=1000.0)
+    empty = histograms.Histogram2D(100, np.zeros((5, 5), dtype=np.int64), 1.0)
+    for hist, write, ref in ((h1, histogram_to_csv, _csv_loop),
+                             (h2, histogram2d_to_csv, _csv2d_loop),
+                             (empty, histogram2d_to_csv, _csv2d_loop)):
+        write(hist, tmp_path / "a.csv")
+        ref(hist, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert 0 < h2.counts.sum() and (h2.counts == 0).any()
+
+
+@pytest.mark.parametrize("chunk", [histograms._CHUNK_ANCHORS, 137])
+def test_histograms_independent_of_core_count(rng, monkeypatch, chunk):
+    ta, tb, tc = (np.sort(rng.integers(0, 10**8, n)).astype(np.int64)
+                  for n in (3000, 3000, 2000))
+    tags = _stream(ta, tb, tc)
+    results = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr("sqcorr.parallel._CORES", cores)
+        h1 = coincidence_histogram_2(tags, 0, 1, 100, 300_000.0, chunk_anchors=chunk)
+        h2 = coincidence_histogram_3(tags, 0, 1, 2, range_ps=300_000.0, chunk_anchors=chunk)
+        results.append((h1.counts, h2.counts))
+    assert results[0][0].sum() > 0 and results[0][1].sum() > 0
+    for counts1, counts2 in results[1:]:
+        np.testing.assert_array_equal(counts1, results[0][0])
+        np.testing.assert_array_equal(counts2, results[0][1])
+
+
+@pytest.mark.parametrize("n_anchors", [1, 2])
+def test_fewer_anchors_than_cores(monkeypatch, n_anchors):
+    monkeypatch.setattr("sqcorr.parallel._CORES", 3)
+    t = np.arange(n_anchors, dtype=np.int64) * 1000
+    np.testing.assert_array_equal(_hist2(t, t, 100, 3), [0, n_anchors, 0])
+    np.testing.assert_array_equal(_hist3(t, t, t, 100, 3)[1], [0, n_anchors, 0])
+
+
+def test_error_in_one_share_reaches_caller(rng, monkeypatch):
+    ta, tb = (np.sort(rng.integers(0, 10**8, 3000)).astype(np.int64) for _ in range(2))
+    real = histograms._hist1d
+
+    def failing(anchors, *args):
+        if anchors[0] == ta[3 * 137]:  # the fourth of 22 shares
+            raise MemoryError("share 3")
+        return real(anchors, *args)
+
+    monkeypatch.setattr("sqcorr.parallel._CORES", 2)
+    monkeypatch.setattr(histograms, "_hist1d", failing)
+    with pytest.raises(MemoryError, match="share 3"):
+        coincidence_histogram_2(_stream(ta, tb), 0, 1, 100, 300_000.0, chunk_anchors=137)
+
+
+def test_anchors_without_a_third_partner_give_no_triples():
+    t = np.arange(0, 10**5, 1000, dtype=np.int64)
+    counts = _hist3(t, t, t + 10**7, 100, 5)
+    assert counts.shape == (5, 5) and counts.sum() == 0

@@ -196,6 +196,51 @@ def test_dead_time_suppression():
         np.testing.assert_array_equal(_suppress_dead_time(np.array(few, dtype=np.int64), 10.0), few)
 
 
+def _dead_time_loop(t_sorted, dead_ps):
+    """Reference: walk the tags, keeping each at least dead_ps after the last kept."""
+    if dead_ps <= 0.0 or t_sorted.size == 0:
+        return t_sorted
+    keep = np.ones(t_sorted.size, dtype=bool)
+    last = t_sorted[0]
+    for i in range(1, t_sorted.size):
+        if t_sorted[i] - last < dead_ps:
+            keep[i] = False
+        else:
+            last = t_sorted[i]
+    return t_sorted[keep]
+
+
+@pytest.mark.parametrize("dead", [1.0, 7.0, 100.0, 99.5, 100.25, 1e4])
+def test_dead_time_matches_per_tag_loop(rng, dead):
+    step = int(dead)
+    for trial in range(40):
+        # dense clusters (gaps 0 and 1), gaps of exactly the dead time and
+        # either side of it, and long gaps that start new runs
+        gaps = rng.choice([0, 1, max(step - 1, 0), step, step + 1, 3 * step + 5],
+                          int(rng.integers(0, 300)),
+                          p=[0.15, 0.2, 0.2, 0.2, 0.15, 0.1])
+        t = np.cumsum(gaps).astype(np.int64) - int(rng.integers(0, 10**6))
+        np.testing.assert_array_equal(_suppress_dead_time(t, dead), _dead_time_loop(t, dead))
+    t = np.array([0, 5, 9], dtype=np.int64)
+    for long in (10.0, 1e30, math.inf):
+        np.testing.assert_array_equal(_suppress_dead_time(t, long), _dead_time_loop(t, long))
+
+
+@pytest.mark.parametrize("n_pulses", [2 * _BLOCK_PULSES + 999, 5000])
+def test_generate_bytes_independent_of_core_count(tmp_path, monkeypatch, n_pulses):
+    """Three blocks and one block: the file is the same on 1, 2 and 3 cores."""
+    cfg = OpticsConfig(eta=0.2, n_pulses=n_pulses, dead_time_ps=60_000.0)
+    source = PairSourceConfig(n_bar=0.05, n_beams=2)
+    files = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr("sqcorr.parallel._CORES", cores)
+        path = tmp_path / f"c{cores}.bin"
+        generate_timetags(source, cfg, 5, path)
+        files.append(path.read_bytes())
+    assert len(files[0]) > 16 + 12 * 100
+    assert files[1] == files[0] and files[2] == files[0]
+
+
 def test_generate_deterministic_bytes(tmp_path):
     cfg = OpticsConfig(eta=0.8, n_pulses=50_000)
     state = MultimodeState((ModeParams(n_th=0.3),))
@@ -385,6 +430,9 @@ def test_mean_photon_consistent_with_pmf(h4):
         dict(eta=0.5, n_pulses=1, splitter=(0.7, 0.7)),
         dict(eta=0.5, n_pulses=1, splitter=()),
         dict(eta=0.5, n_pulses=1, jitter_sigma_ps=-1.0),
+        dict(eta=0.5, n_pulses=1, jitter_sigma_ps=math.nan),
+        dict(eta=0.5, n_pulses=1, dead_time_ps=-1.0),
+        dict(eta=0.5, n_pulses=1, dead_time_ps=math.nan),
         dict(eta=0.5, n_pulses=1, rep_rate_hz=0.0),
     ],
 )

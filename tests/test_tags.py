@@ -201,3 +201,51 @@ def test_channels_match_mask_and_sort(tmp_path, rng, form):
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, w)
 
+
+
+def _lexsort_write(path, by_channel, channel_count):
+    """Reference writer: every record laid out, then sorted by (timestamp, channel)."""
+    by_channel = [np.asarray(ch, dtype=np.int64) for ch in by_channel]
+    n = sum(ch.size for ch in by_channel)
+    rec = np.zeros(n, dtype=TAG_DTYPE)
+    pos = 0
+    for c, ch in enumerate(by_channel):
+        rec["channel"][pos : pos + ch.size] = c
+        rec["timestamp_ps"][pos : pos + ch.size] = ch
+        pos += ch.size
+    rec = rec[np.lexsort((rec["channel"], rec["timestamp_ps"]))]
+    path.write_bytes(HEADER.pack(MAGIC, FORMAT_VERSION, channel_count, 0) + rec.tobytes())
+
+
+@pytest.mark.parametrize("case", [
+    # equal timestamps on different channels, in both channel orders
+    ([[5, 10, 10, 20], [10, 20], [0, 10]], 3),
+    # unsorted and negative stamps, repeated within a channel
+    ([[30, -10, 20, -10], [-500, 7, -1], [7]], 3),
+    # an empty channel, first, middle and last
+    ([[], [3, 1], [], [2, 2]], 4),
+    # channel_count larger than the list
+    ([[4, 2], [2, 9]], 7),
+    ([], 2),
+])
+def test_write_matches_lexsort_writer(tmp_path, case):
+    by_channel, count = case
+    write_tags(tmp_path / "a.bin", by_channel, channel_count=count)
+    _lexsort_write(tmp_path / "b.bin", by_channel, count)
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def test_write_matches_lexsort_writer_random(tmp_path, rng):
+    for trial in range(20):
+        count = int(rng.integers(1, 12))
+        # a narrow range repeats timestamps across and within channels
+        hi = 40 if trial % 2 else 10**15
+        by_channel = [rng.integers(-hi, hi, rng.integers(0, 200)) for _ in range(count)]
+        write_tags(tmp_path / "a.bin", by_channel, channel_count=count + trial % 3)
+        _lexsort_write(tmp_path / "b.bin", by_channel, count + trial % 3)
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def test_write_rejects_more_channels_than_a_record_holds(tmp_path):
+    with pytest.raises(DataFormatError):
+        write_tags(tmp_path / "t.bin", [[1]] * 257, channel_count=257)
