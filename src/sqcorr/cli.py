@@ -7,7 +7,8 @@ timestamps go into outputs: rerunning with the same config and seed must
 give byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 convergence
-or truncation error.
+or truncation error. Each library exception class carries its code as
+``exit_code`` (sqcorr.exceptions).
 """
 from __future__ import annotations
 
@@ -31,14 +32,7 @@ from .estimation import (
     read_crossover_csv,
     read_dataset_csv,
 )
-from .exceptions import (
-    DataFormatError,
-    DegenerateFitError,
-    InvalidParameterError,
-    NoConvergenceError,
-    SqcorrError,
-    TruncationError,
-)
+from .exceptions import InvalidParameterError, NoConvergenceError, SqcorrError
 from .histograms import (
     BIN2D_PER_PERIOD,
     DEFAULT_BIN_PS,
@@ -58,15 +52,11 @@ from .states import (
     schmidt_number_mu,
     squeezing_db,
 )
-from .tags import load_tags
+from .tags import load_tags, write_csv
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_CONVERGENCE = 4
-
-_DATA_ERRORS = (DataFormatError, DegenerateFitError)
-_CONVERGENCE_ERRORS = (NoConvergenceError, TruncationError)
+EXIT_CONFIG = InvalidParameterError.exit_code
+EXIT_DATA = SqcorrError.exit_code
+EXIT_CONVERGENCE = NoConvergenceError.exit_code
 
 
 def _fail(code: int, message: str):
@@ -80,15 +70,8 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except _CONVERGENCE_ERRORS as e:
-            _fail(EXIT_CONVERGENCE, str(e))
-        except _DATA_ERRORS as e:
-            _fail(EXIT_DATA, str(e))
-        except InvalidParameterError as e:
-            _fail(EXIT_CONFIG, str(e))
         except SqcorrError as e:
-            # remaining library errors concern malformed or insufficient data
-            _fail(EXIT_DATA, str(e))
+            _fail(e.exit_code, str(e))
         except OSError as e:
             _fail(EXIT_DATA, str(e))
 
@@ -97,9 +80,10 @@ def _guarded(fn):
     return wrapper
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None) -> tuple[dict, str | None]:
+    """The config and the SHA-256 of its bytes; ({}, None) without a config."""
     if path is None:
-        return {}
+        return {}, None
     try:
         raw = Path(path).read_bytes()
         cfg = json.loads(raw)
@@ -109,31 +93,28 @@ def _load_config(path: str | None) -> dict:
         _fail(EXIT_CONFIG, f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         _fail(EXIT_CONFIG, "config root must be a JSON object")
-    return cfg
+    return cfg, hashlib.sha256(raw).hexdigest()
 
 
-def _config_sha256(path: str | None) -> str | None:
-    if path is None:
-        return None
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_provenance(ctx: click.Context, command: str, outputs: list[str]) -> None:
+def _write_results(ctx: click.Context, command: str, payloads: dict,
+                   written: tuple[str, ...] = ()) -> None:
+    """Write each JSON payload into --out, then a provenance.json that names
+    them and the files the command has already written there."""
     obj = ctx.obj
-    prov = {
+    provenance = {
         "command": command,
         "config_sha256": obj["config_sha256"],
         "seed": obj["seed"],
-        "outputs": sorted(outputs),
+        "outputs": sorted([*written, *payloads]),
         "versions": {
             "sqcorr": __version__,
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     }
-    path = obj["out"] / "provenance.json"
-    with open(path, "w") as f:
-        json.dump(prov, f, indent=2, sort_keys=True)
+    for name, payload in [*payloads.items(), ("provenance.json", provenance)]:
+        with open(obj["out"] / name, "w") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
 
 
 def _source_from_config(cfg: dict):
@@ -194,12 +175,9 @@ def main(ctx, config_path, seed, out):
     """Broadband photon-correlation simulator and analysis pipeline."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ctx.obj = {
-        "config": _load_config(config_path),
-        "config_sha256": _config_sha256(config_path),
-        "seed": seed,
-        "out": out_dir,
-    }
+    config, config_sha256 = _load_config(config_path)
+    ctx.obj = {"config": config, "config_sha256": config_sha256, "seed": seed,
+               "out": out_dir}
 
 
 @main.command()
@@ -225,7 +203,7 @@ def simulate(ctx, n_pulses, as_csv):
         click.echo(
             f"warning: {worst:.3f} clicks/pulse on the busiest detector; "
             "binary-detector bias will be significant", err=True)
-    _write_provenance(ctx, "simulate", [tag_path.name, sidecar_path.name])
+    _write_results(ctx, "simulate", {}, (tag_path.name, sidecar_path.name))
     click.echo(f"wrote {tag_path} ({sidecar['n_channels']} channels, "
                f"{sidecar['n_pulses']} pulses)")
 
@@ -312,12 +290,9 @@ def analyze_g2(ctx, tagfile, channel_a, channel_b, bin_ps, range_ps, rep_rate_hz
     hist = coincidence_histogram_2(tags, channel_a, channel_b, bin_ps, range_ps,
                                    period_ps=period)
     est = extract_g2(hist, period_ps=period)
-    out = ctx.obj["out"]
-    histogram_to_csv(hist, out / "g2_histogram.csv")
+    histogram_to_csv(hist, ctx.obj["out"] / "g2_histogram.csv")
     result = {"channels": [channel_a, channel_b], "bin_ps": bin_ps, **est.as_dict()}
-    with open(out / "g2_estimate.json", "w") as f:
-        json.dump(result, f, indent=2, sort_keys=True)
-    _write_provenance(ctx, "analyze-g2", ["g2_histogram.csv", "g2_estimate.json"])
+    _write_results(ctx, "analyze-g2", {"g2_estimate.json": result}, ("g2_histogram.csv",))
     click.echo(f"g2(0) = {est.value:.4f} +- {est.std_error:.4f} "
                f"({est.n_satellites_used} satellites)")
 
@@ -342,13 +317,10 @@ def analyze_g3(ctx, tagfile, channel_a, channel_b, channel_c, bin_ps, range_ps,
     hist = coincidence_histogram_3(tags, channel_a, channel_b, channel_c, bin_ps,
                                    range_ps, period_ps=period)
     est = extract_g3(hist, period_ps=period)
-    out = ctx.obj["out"]
-    histogram2d_to_csv(hist, out / "g3_histogram.csv")
+    histogram2d_to_csv(hist, ctx.obj["out"] / "g3_histogram.csv")
     result = {"channels": [channel_a, channel_b, channel_c], "bin_ps": bin_ps,
               **est.as_dict()}
-    with open(out / "g3_estimate.json", "w") as f:
-        json.dump(result, f, indent=2, sort_keys=True)
-    _write_provenance(ctx, "analyze-g3", ["g3_histogram.csv", "g3_estimate.json"])
+    _write_results(ctx, "analyze-g3", {"g3_estimate.json": result}, ("g3_histogram.csv",))
     click.echo(f"g3(0) = {est.value:.4f} +- {est.std_error:.4f} "
                f"({est.n_satellites_used} satellites)")
 
@@ -382,10 +354,7 @@ def csi(ctx, tagfile, beam_i, beam_j, arms, bin_ps, range_ps, rep_rate_hz):
     est_jj = g2_between(cj, cj + 1)
     est_ij = g2_between(ci, cj)
     res = csi_r(est_ii, est_jj, est_ij)
-    out = ctx.obj["out"]
-    with open(out / "csi.json", "w") as f:
-        json.dump(res.as_dict(), f, indent=2, sort_keys=True)
-    _write_provenance(ctx, "csi", ["csi.json"])
+    _write_results(ctx, "csi", {"csi.json": res.as_dict()})
     verdict = "violated" if res.R > 1.0 + res.std_error else "not violated"
     click.echo(f"R = {res.R:.4f} +- {res.std_error:.4f} (classical bound {verdict})")
 
@@ -422,10 +391,7 @@ def fit(ctx, dataset, n_starts, max_evaluations, d_modes):
         "converged": result.converged,
         "bounds": [list(b) for b in bounds],
     }
-    out = ctx.obj["out"]
-    with open(out / "fit.json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-    _write_provenance(ctx, "fit", ["fit.json"])
+    _write_results(ctx, "fit", {"fit.json": payload})
     click.echo(f"B={p.B:.4f} mu={p.mu:.4f} alpha={p.alpha:.4f} n_th={p.n_th:.4f} "
                f"(objective {result.objective_value:.3e}, "
                f"{result.n_evaluations} evaluations)")
@@ -445,10 +411,7 @@ def crossover(ctx, datafile):
         "break_intensity": None if res.degenerate else res.break_intensity,
         "degenerate": res.degenerate,
     }
-    out = ctx.obj["out"]
-    with open(out / "crossover.json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-    _write_provenance(ctx, "crossover", ["crossover.json"])
+    _write_results(ctx, "crossover", {"crossover.json": payload})
     if res.degenerate:
         click.echo(f"single power law, p = {res.p_low:.4f}")
     else:
@@ -476,16 +439,11 @@ def report(ctx):
 
     lam = mode_weights(source.mu, source.d)
     rks = source.B * lam
-    with open(out / "modes.csv", "w") as f:
-        f.write("k,weight,r,squeezing_db\n")
-        for k, (w, r) in enumerate(zip(lam, rks)):
-            f.write(f"{k},{float(w)!r},{float(r)!r},{squeezing_db(float(r))!r}\n")
-
+    write_csv(out / "modes.csv", "k,weight,r,squeezing_db", "%d,%r,%r,%r",
+              np.arange(source.d), lam, rks, squeezing_db(rks))
     curve = model_curve(source)
-    with open(out / "model_curve.csv", "w") as f:
-        f.write("k,mean_n,g2,g3\n")
-        for k, row in enumerate(curve, start=1):
-            f.write(f"{k},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n")
+    write_csv(out / "model_curve.csv", "k,mean_n,g2,g3", "%d,%r,%r,%r",
+              np.arange(1, source.d + 1), *curve.T)
 
     s1, g2, g3 = broadband_moments(expand_hyperparams(source))
     summary = {
@@ -497,9 +455,7 @@ def report(ctx):
         "params": {"B": source.B, "mu": source.mu, "alpha": source.alpha,
                    "n_th": source.n_th, "d": source.d},
     }
-    with open(out / "report.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-    _write_provenance(ctx, "report", ["modes.csv", "model_curve.csv", "report.json"])
+    _write_results(ctx, "report", {"report.json": summary}, ("modes.csv", "model_curve.csv"))
     click.echo(f"K = {summary['schmidt_number']:.4f}, "
                f"mean_n = {s1:.4f}, g2 = {g2:.4f}, g3 = {g3:.4f}")
 

@@ -14,9 +14,11 @@ objective insensitive to which bandwidths were sampled.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -74,54 +76,51 @@ class CrossoverFit:
     degenerate: bool
 
 
+def _read_float_csv(path, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The header of a UTF-8 CSV file, which must be one of headers, and its
+    rows as floats, one array row per file row.
+
+    Blank rows are skipped; every other row must have the header's field count.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise DataFormatError(f"{path}:{line}: not UTF-8 text ({e.reason})") from None
+    rows = csv.reader(io.StringIO(text, newline=""))
+    header = next(rows, None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    header = tuple(h.strip() for h in header)
+    if header not in headers:
+        raise DataFormatError(f"{path}: unexpected header {list(header)}")
+    values = []
+    for row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}:{rows.line_num}: expected {len(header)} fields, got {len(row)}")
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as e:
+            raise DataFormatError(f"{path}:{rows.line_num}: {e}") from None
+    return header, np.array(values, dtype=float).reshape(-1, len(header))
+
+
 def read_dataset_csv(path) -> list[DataSetPoint]:
     """Read `mean_n,g2,g2_err,g3,g3_err[,intensity]` rows."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        has_intensity = header == [*_CSV_FIELDS, "intensity"]
-        if not has_intensity and header != list(_CSV_FIELDS):
-            raise DataFormatError(f"{path}: unexpected header {header}")
-        points = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(f"{path}:{i}: expected {len(header)} fields")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{i}: {e}") from None
-            points.append(
-                DataSetPoint(*vals[:5], intensity=vals[5] if has_intensity else None)
-            )
-    return points
+    header, values = _read_float_csv(path, _CSV_FIELDS, (*_CSV_FIELDS, "intensity"))
+    with_intensity = len(header) > len(_CSV_FIELDS)
+    return [DataSetPoint(*v[:5], intensity=v[5] if with_intensity else None)
+            for v in values.tolist()]
 
 
 def read_crossover_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read `intensity,yield` rows for the crossover fit."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if header != ["intensity", "yield"]:
-            raise DataFormatError(f"{path}: unexpected header {header}")
-        xs, ys = [], []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-            except (ValueError, IndexError) as e:
-                raise DataFormatError(f"{path}:{i}: {e}") from None
-    return np.asarray(xs), np.asarray(ys)
+    _, values = _read_float_csv(path, ("intensity", "yield"))
+    return values[:, 0], values[:, 1]
 
 
 def model_curve(h: HyperParams) -> np.ndarray:

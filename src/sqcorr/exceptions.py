@@ -1,16 +1,23 @@
-"""Exception hierarchy. Each maps to a CLI exit code (see cli.EXIT_CODES)."""
+"""Exception hierarchy. Each class carries the CLI exit code it maps to:
+3 (data) unless a class below says otherwise."""
 
 
 class SqcorrError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 3
+
 
 class InvalidParameterError(SqcorrError):
     """A physical or configuration parameter is out of its allowed range."""
 
+    exit_code = 2
+
 
 class TruncationError(SqcorrError):
     """Number-basis truncation failed to stabilize below the dimension ceiling."""
+
+    exit_code = 4
 
 
 class DegenerateStateError(SqcorrError):
@@ -39,3 +46,5 @@ class DegenerateFitError(SqcorrError):
 
 class NoConvergenceError(SqcorrError):
     """Every optimizer start exhausted its evaluation budget."""
+
+    exit_code = 4

@@ -22,7 +22,7 @@ import numpy as np
 from .constants import LASER_PERIOD_PS
 from .exceptions import EmptyChannelError, InvalidParameterError
 from .parallel import parallel_map, shares
-from .tags import TagStream
+from .tags import TagStream, write_csv
 
 DEFAULT_BIN_PS = 100
 DEFAULT_WINDOW_PERIODS = 25
@@ -200,20 +200,12 @@ def coincidence_histogram_3(
     return Histogram2D(bin_width_ps, sum(parts), _acquisition_s((t0, t1, t2)))
 
 
-def _write_int_csv(path, header: str, *columns: np.ndarray) -> None:
-    """The header line, then one row of comma-separated integers per column entry."""
-    table = np.stack(columns, axis=1)
-    row = ",".join(["%d"] * len(columns)) + "\n"
-    with open(path, "w") as f:
-        f.write(header + "\n" + row * len(table) % tuple(table.ravel().tolist()))
-
-
 def histogram_to_csv(hist: Histogram1D, path) -> None:
-    _write_int_csv(path, "delay_ps,counts", hist.bin_centers(), hist.counts)
+    write_csv(path, "delay_ps,counts", "%d,%d", hist.bin_centers(), hist.counts)
 
 
 def histogram2d_to_csv(hist: Histogram2D, path) -> None:
     centers = hist.bin_centers()
     i, j = np.nonzero(hist.counts)  # row-major, the order the rows are written in
-    _write_int_csv(path, "delay1_ps,delay2_ps,counts", centers[i], centers[j],
-                   hist.counts[i, j])
+    write_csv(path, "delay1_ps,delay2_ps,counts", "%d,%d,%d", centers[i], centers[j],
+              hist.counts[i, j])

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .constants import DEFAULT_JITTER_SIGMA_PS, DEFAULT_REP_RATE_HZ
 from .exceptions import InvalidParameterError, TruncationError
-from .fock import thermal_pmf
 from .parallel import parallel_map
 from .states import (
     HyperParams,
@@ -71,18 +71,19 @@ class OpticsConfig:
     rep_rate_hz: float = DEFAULT_REP_RATE_HZ
 
     def validate(self) -> None:
+        # every test is written so that NaN fails it
         if not (0.0 < self.eta <= 1.0):
             raise InvalidParameterError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.n_pulses < 0:
-            raise InvalidParameterError("n_pulses must be >= 0")
-        if len(self.splitter) < 1 or any(p < 0.0 or p > 1.0 for p in self.splitter):
+        if not (isinstance(self.n_pulses, numbers.Integral) and self.n_pulses >= 0):
+            raise InvalidParameterError(f"n_pulses must be an integer >= 0, got {self.n_pulses!r}")
+        if len(self.splitter) < 1 or not all(0.0 <= p <= 1.0 for p in self.splitter):
             raise InvalidParameterError(f"bad splitter ratios {self.splitter}")
-        if abs(sum(self.splitter) - 1.0) > 1e-9:
+        if not abs(sum(self.splitter) - 1.0) <= 1e-9:
             raise InvalidParameterError("splitter ratios must sum to 1")
-        if not (self.jitter_sigma_ps >= 0.0 and self.dead_time_ps >= 0.0):
-            raise InvalidParameterError("jitter and dead time must be >= 0")
-        if self.rep_rate_hz <= 0.0:
-            raise InvalidParameterError("rep_rate_hz must be > 0")
+        if not (0.0 <= self.jitter_sigma_ps < math.inf and 0.0 <= self.dead_time_ps < math.inf):
+            raise InvalidParameterError("jitter and dead time must be finite and >= 0")
+        if not (0.0 < self.rep_rate_hz < math.inf):
+            raise InvalidParameterError(f"rep_rate_hz must be finite and > 0, got {self.rep_rate_hz}")
 
     @property
     def period_ps(self) -> float:
@@ -106,10 +107,10 @@ class PairSourceConfig:
     n_beams: int = 2
 
     def validate(self) -> None:
-        if not (self.n_bar > 0.0):
-            raise InvalidParameterError(f"n_bar must be > 0, got {self.n_bar}")
-        if self.n_beams < 2:
-            raise InvalidParameterError("pair source needs at least 2 beams")
+        if not (0.0 < self.n_bar < math.inf):
+            raise InvalidParameterError(f"n_bar must be finite and > 0, got {self.n_bar}")
+        if not (isinstance(self.n_beams, numbers.Integral) and self.n_beams >= 2):
+            raise InvalidParameterError("pair source needs an integer of at least 2 beams")
 
 
 def state_photon_pmf(state: MultimodeState) -> np.ndarray:
@@ -148,6 +149,17 @@ def state_photon_pmf(state: MultimodeState) -> np.ndarray:
     tail = np.cumsum(p[::-1])[::-1]  # tail[n] = mass at n and above
     p = p[: max(int(np.count_nonzero(tail > PMF_TAIL)), 1)]
     return p / p.sum()
+
+
+def thermal_pmf(n_th: float, dim: int) -> np.ndarray:
+    """Geometric photon-number pmf p(n) = n_th^n / (1+n_th)^(n+1), length dim."""
+    if n_th <= 0.0:
+        p = np.zeros(dim)
+        p[0] = 1.0
+        return p
+    n = np.arange(dim)
+    # log space avoids overflow of n_th**n at large dim
+    return np.exp(n * np.log(n_th) - (n + 1) * np.log1p(n_th))
 
 
 def _pair_pmf(cfg: PairSourceConfig) -> np.ndarray:
@@ -309,7 +321,7 @@ def generate_timetags(
     path,
     sidecar_path=None,
 ) -> dict:
-    """Simulate a full acquisition and write the binary tag file.
+    """Simulate a full acquisition and write the tag file (CSV if path ends in .csv).
 
     source is a MultimodeState, HyperParams, or PairSourceConfig. For a pair
     source the same photon number enters every beam, and each beam gets its

@@ -3,17 +3,20 @@
 Binary format (little endian):
   header, 16 bytes: magic b"HHGT", format version u16 = 1, channel count u16,
   reserved u64 = 0; then packed 12-byte records {channel u8, pad u8[3],
-  timestamp_ps i64}. Records are written sorted by (timestamp, channel).
+  timestamp_ps i64}.
 
 CSV alternative: header line ``channel,timestamp_ps`` then one record per row.
 
-Both readers keep the record columns as they are in the file and split a
-channel out only when it is first asked for, so a command pays for the
-channels it reads. Within a channel the timestamps come back sorted, whatever
-the record order of the file.
+Both writers lay the records out by one merge, sorted by (timestamp, channel),
+so identical inputs give identical bytes in either format. Both readers keep
+the record columns as they are in the file and split a channel out only when
+it is first asked for, so a command pays for the channels it reads. Within a
+channel the timestamps come back sorted, whatever the record order of the
+file.
 """
 from __future__ import annotations
 
+import itertools
 import struct
 from pathlib import Path
 
@@ -77,26 +80,31 @@ class TagStream:
         return tuple(self.channel(c) for c in range(self.channel_count))
 
 
-def write_tags(path, by_channel, channel_count: int | None = None) -> None:
-    """Write per-channel timestamp arrays as a binary tag file.
+def _merge(by_channel, channel_count: int | None):
+    """(channel count, channel column, timestamp column) of the records in
+    (timestamp, channel) order.
 
-    Records are merged and sorted by (timestamp, channel) so identical inputs
-    produce identical bytes: a stable sort of the channel-major concatenation
-    keeps equal timestamps in channel order.
+    A stable sort of the channel-major concatenation keeps equal timestamps in
+    channel order.
     """
     by_channel = [np.asarray(ch, dtype=np.int64) for ch in by_channel]
     if channel_count is None:
         channel_count = len(by_channel)
     if channel_count < len(by_channel):
         raise DataFormatError("channel_count smaller than supplied channel list")
-    if len(by_channel) > 256:
-        raise DataFormatError("a record holds a u8 channel: at most 256 channels")
     ts = np.concatenate(by_channel or [np.empty(0, dtype=np.int64)])
     order = np.argsort(ts, kind="stable")
-    channel = np.repeat(np.arange(len(by_channel), dtype=np.uint8),
+    n = len(by_channel)
+    channel = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)),
                         [ch.size for ch in by_channel])[order]
-    ts = ts[order]
-    del order
+    return channel_count, channel, ts[order]
+
+
+def write_tags(path, by_channel, channel_count: int | None = None) -> None:
+    """Write per-channel timestamp arrays as a binary tag file."""
+    if len(by_channel) > 256:
+        raise DataFormatError("a record holds a u8 channel: at most 256 channels")
+    channel_count, channel, ts = _merge(by_channel, channel_count)
     rec = np.zeros(ts.size, dtype=TAG_DTYPE)
     rec["timestamp_ps"] = ts
     rec["channel"] = channel
@@ -123,20 +131,22 @@ def read_tags(path) -> TagStream:
                      np.ascontiguousarray(rec["timestamp_ps"], dtype=np.int64))
 
 
-def write_tags_csv(path, by_channel, channel_count: int | None = None) -> None:
-    by_channel = [np.asarray(ch, dtype=np.int64) for ch in by_channel]
-    if channel_count is None:
-        channel_count = len(by_channel)
-    rows = []
-    for c, ch in enumerate(by_channel):
-        rows.append(np.stack([np.full(ch.size, c, dtype=np.int64), ch], axis=1))
-    allrows = np.concatenate(rows) if rows else np.empty((0, 2), dtype=np.int64)
-    order = np.lexsort((allrows[:, 0], allrows[:, 1]))
-    allrows = allrows[order]
+def write_csv(path, header: str, row: str, *columns) -> None:
+    """The header line, then the line ``row % (c0[i], c1[i], ...)`` for each i.
+
+    Each column goes through ``tolist()``, so ``%d`` prints an int64 exactly
+    and ``%r`` prints a float as Python does.
+    """
+    values = [np.asarray(c).tolist() for c in columns]
+    cells = tuple(itertools.chain.from_iterable(zip(*values)))
     with open(path, "w") as f:
-        f.write("channel,timestamp_ps\n")
-        for c, t in allrows:
-            f.write(f"{c},{t}\n")
+        f.write(header + "\n" + (row + "\n") * len(values[0]) % cells)
+
+
+def write_tags_csv(path, by_channel, channel_count: int | None = None) -> None:
+    """Write per-channel timestamp arrays as a CSV tag file."""
+    _, channel, ts = _merge(by_channel, channel_count)
+    write_csv(path, "channel,timestamp_ps", "%d,%d", channel, ts)
 
 
 def read_tags_csv(path, channel_count: int | None = None) -> TagStream:

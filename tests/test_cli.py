@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sqcorr.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA, main
+import sqcorr
+from sqcorr import exceptions
+from sqcorr.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA, _guarded, main
 
 THERMAL_CONFIG = {
     "source": {"kind": "state", "modes": [{"n_th": 0.15}]},
@@ -273,6 +275,42 @@ def test_report_command(runner, tmp_path):
     assert curve[-1, 2] == pytest.approx(summary["g2"], rel=1e-12)
 
 
+def _report_row_loops(h, out):
+    """Reference modes.csv and model_curve.csv writers: one formatted row at a time."""
+    from sqcorr import model_curve, mode_weights, squeezing_db
+
+    lam = mode_weights(h.mu, h.d)
+    rks = h.B * lam
+    with open(out / "modes.csv", "w") as f:
+        f.write("k,weight,r,squeezing_db\n")
+        for k, (w, r) in enumerate(zip(lam, rks)):
+            f.write(f"{k},{float(w)!r},{float(r)!r},{squeezing_db(float(r))!r}\n")
+    with open(out / "model_curve.csv", "w") as f:
+        f.write("k,mean_n,g2,g3\n")
+        for k, row in enumerate(model_curve(h), start=1):
+            f.write(f"{k},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n")
+
+
+@pytest.mark.parametrize("params", [
+    dict(B=0.471, mu=0.4226, alpha=0.127, n_th=0.001, d=50),
+    dict(B=0.397, mu=0.32, alpha=0.161, n_th=0.001, d=50),
+    dict(B=1.3, mu=0.9, alpha=0.0, n_th=0.2, d=7),
+    dict(B=0.2, mu=0.0, alpha=1.5, n_th=0.0, d=1),
+])
+def test_report_csvs_match_row_loops(runner, tmp_path, params):
+    from sqcorr import HyperParams
+
+    cfg = {"source": {"kind": "hyper", **params}}
+    res = runner.invoke(main, ["--config", _write_config(tmp_path, cfg),
+                               "--out", str(tmp_path / "r"), "report"])
+    assert res.exit_code == 0, res.output
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    _report_row_loops(HyperParams(**params), ref)
+    for name in ("modes.csv", "model_curve.csv"):
+        assert (tmp_path / "r" / name).read_bytes() == (ref / name).read_bytes()
+
+
 def test_bad_json_config_exits_2(runner, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -299,11 +337,84 @@ def test_invalid_optics_exits_2(runner, tmp_path):
     assert res.exit_code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("source, optics", [
+    ({}, {"rep_rate_hz": float("nan")}),
+    ({}, {"rep_rate_hz": float("inf")}),
+    ({}, {"splitter": [float("nan"), float("nan")]}),
+    ({}, {"n_pulses": 20000.5}),
+    ({"kind": "pair", "n_bar": float("inf")}, {}),
+])
+def test_non_finite_optics_or_source_exits_2(runner, tmp_path, source, optics):
+    cfg = {"source": {"kind": "state", "modes": [{"n_th": 0.1}], **source},
+           "optics": {"eta": 0.5, "n_pulses": 20000, **optics}}
+    res = runner.invoke(main, ["--config", _write_config(tmp_path, cfg),
+                               "--out", str(tmp_path / "s"), "simulate"])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert not (tmp_path / "s" / "tags.bin").exists()
+
+
+# README, "Exit codes": 2 configuration error, 3 data error, 4 convergence or
+# truncation failure
+_README_EXIT_CODES = {
+    "InvalidParameterError": 2,
+    "TruncationError": 4,
+    "NoConvergenceError": 4,
+}
+_EXPORTED_ERRORS = sorted(
+    name for name in sqcorr.__all__
+    if isinstance(getattr(sqcorr, name), type)
+    and issubclass(getattr(sqcorr, name), exceptions.SqcorrError)
+)
+
+
+def test_every_exception_class_is_exported():
+    defined = {name for name, obj in vars(exceptions).items()
+               if isinstance(obj, type) and issubclass(obj, exceptions.SqcorrError)}
+    assert defined == set(_EXPORTED_ERRORS)
+
+
+@pytest.mark.parametrize("name", _EXPORTED_ERRORS)
+def test_exception_exit_code_matches_readme(name):
+    want = _README_EXIT_CODES.get(name, 3)
+
+    @_guarded
+    def command():
+        raise getattr(sqcorr, name)("boom")
+
+    assert getattr(sqcorr, name).exit_code == want
+    with pytest.raises(SystemExit) as exc:
+        command()
+    assert exc.value.code == want
+
+
 def test_short_dataset_exits_3(runner, tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("mean_n,g2,g2_err,g3,g3_err\n0.5,1.8,0.02,4.1,0.3\n")
     res = runner.invoke(main, ["--out", str(tmp_path), "fit", str(data)])
     assert res.exit_code == EXIT_DATA
+
+
+def test_crossover_row_with_extra_field_exits_3(runner, tmp_path):
+    data = tmp_path / "c.csv"
+    data.write_text("intensity,yield\n0.5,1.0\n1.0,8.0,99\n2.0,64.0\n")
+    res = runner.invoke(main, ["--out", str(tmp_path / "x"), "crossover", str(data)])
+    assert res.exit_code == EXIT_DATA, res.output
+    assert f"{data}:3: expected 2 fields, got 3" in res.output
+    assert not (tmp_path / "x" / "crossover.json").exists()
+
+
+@pytest.mark.parametrize("command, header", [
+    ("fit", "mean_n,g2,g2_err,g3,g3_err"),
+    ("crossover", "intensity,yield"),
+])
+def test_non_utf8_input_exits_3(runner, tmp_path, command, header):
+    data = tmp_path / "junk.csv"
+    data.write_bytes(header.encode() + b"\n0.5,1\xff\xfe\n")
+    res = runner.invoke(main, ["--out", str(tmp_path / "x"), command, str(data)])
+    assert res.exit_code == EXIT_DATA, res.output
+    assert f"{data}:2: not UTF-8 text" in res.output
+    assert not (tmp_path / "x" / f"{command}.json").exists()
+    assert not (tmp_path / "x" / "provenance.json").exists()
 
 
 def test_bad_crossover_header_exits_3(runner, tmp_path):

@@ -333,3 +333,27 @@ def test_crossover_csv(tmp_path):
     bad.write_text("x,y\n1,2\n")
     with pytest.raises(DataFormatError):
         read_crossover_csv(bad)
+
+
+@pytest.mark.parametrize("body", [
+    b"intensity,yield\n0.5,1.0\n1.0,8.0,99\n",
+    b"intensity,yield\n0.5\n",
+    b"intensity,yield\n0.5,\xff\n",
+])
+def test_crossover_csv_rejects_malformed(tmp_path, body):
+    path = tmp_path / "c.csv"
+    path.write_bytes(body)
+    with pytest.raises(DataFormatError, match=f"{path}:[23]: "):
+        read_crossover_csv(path)
+
+
+def test_csv_readers_skip_blank_rows(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("intensity,yield\n\n0.5,1.0\n\n1.0,8.0\n")
+    x, y = read_crossover_csv(path)
+    np.testing.assert_array_equal(x, [0.5, 1.0])
+    np.testing.assert_array_equal(y, [1.0, 8.0])
+    path.write_text("intensity,yield\n")
+    assert [a.size for a in read_crossover_csv(path)] == [0, 0]
+    path.write_text("mean_n,g2,g2_err,g3,g3_err\n\n0.5,1.8,0.02,4.1,0.3\n\n")
+    assert read_dataset_csv(path) == [DataSetPoint(0.5, 1.8, 0.02, 4.1, 0.3)]

@@ -1,4 +1,6 @@
 """Synthetic tag generation against exact click-level analytics."""
+import ast
+import inspect
 import json
 import math
 import tracemalloc
@@ -22,7 +24,8 @@ from sqcorr import (
     pair_source_click_expectations,
     state_photon_pmf,
 )
-from sqcorr.fock import photon_number_pmf, thermal_pmf
+from sqcorr import simulate
+from sqcorr.fock import photon_number_pmf
 from sqcorr.simulate import (
     _BLOCK_PULSES,
     _detected_photons,
@@ -30,6 +33,7 @@ from sqcorr.simulate import (
     _suppress_dead_time,
     click_law,
     sample_clicks,
+    thermal_pmf,
 )
 
 
@@ -434,6 +438,15 @@ def test_mean_photon_consistent_with_pmf(h4):
         dict(eta=0.5, n_pulses=1, dead_time_ps=-1.0),
         dict(eta=0.5, n_pulses=1, dead_time_ps=math.nan),
         dict(eta=0.5, n_pulses=1, rep_rate_hz=0.0),
+        dict(eta=0.5, n_pulses=1, rep_rate_hz=math.nan),
+        dict(eta=0.5, n_pulses=1, rep_rate_hz=math.inf),
+        dict(eta=0.5, n_pulses=1, splitter=(math.nan, math.nan)),
+        dict(eta=0.5, n_pulses=1, splitter=(0.5, math.nan)),
+        dict(eta=0.5, n_pulses=20000.5),
+        dict(eta=0.5, n_pulses=20000.0),
+        dict(eta=math.nan, n_pulses=1),
+        dict(eta=0.5, n_pulses=1, jitter_sigma_ps=math.inf),
+        dict(eta=0.5, n_pulses=1, dead_time_ps=math.inf),
     ],
 )
 def test_optics_validation(kwargs):
@@ -441,7 +454,24 @@ def test_optics_validation(kwargs):
         OpticsConfig(**kwargs).validate()
 
 
-@pytest.mark.parametrize("kwargs", [dict(n_bar=0.0), dict(n_bar=1.0, n_beams=1)])
+@pytest.mark.parametrize("kwargs", [
+    dict(n_bar=0.0),
+    dict(n_bar=1.0, n_beams=1),
+    dict(n_bar=math.inf),
+    dict(n_bar=math.nan),
+    dict(n_bar=1.0, n_beams=2.5),
+])
 def test_pair_source_validation(kwargs):
     with pytest.raises(InvalidParameterError):
         PairSourceConfig(**kwargs).validate()
+
+
+def test_simulate_module_does_not_import_fock():
+    tree = ast.parse(inspect.getsource(simulate))
+    imported = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    } | {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    assert not any(name and "fock" in name for name in imported), imported

@@ -217,6 +217,19 @@ def _lexsort_write(path, by_channel, channel_count):
     path.write_bytes(HEADER.pack(MAGIC, FORMAT_VERSION, channel_count, 0) + rec.tobytes())
 
 
+def _lexsort_write_csv(path, by_channel):
+    """Reference CSV writer: every (channel, timestamp) row laid out, sorted by
+    (timestamp, channel) and formatted one numpy-scalar row at a time."""
+    rows = [np.stack([np.full(len(ch), c, dtype=np.int64), np.asarray(ch, dtype=np.int64)],
+                     axis=1) for c, ch in enumerate(by_channel)]
+    allrows = np.concatenate(rows) if rows else np.empty((0, 2), dtype=np.int64)
+    allrows = allrows[np.lexsort((allrows[:, 0], allrows[:, 1]))]
+    with open(path, "w") as f:
+        f.write("channel,timestamp_ps\n")
+        for c, t in allrows:
+            f.write(f"{c},{t}\n")
+
+
 @pytest.mark.parametrize("case", [
     # equal timestamps on different channels, in both channel orders
     ([[5, 10, 10, 20], [10, 20], [0, 10]], 3),
@@ -233,6 +246,9 @@ def test_write_matches_lexsort_writer(tmp_path, case):
     write_tags(tmp_path / "a.bin", by_channel, channel_count=count)
     _lexsort_write(tmp_path / "b.bin", by_channel, count)
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+    write_tags_csv(tmp_path / "a.csv", by_channel, channel_count=count)
+    _lexsort_write_csv(tmp_path / "b.csv", by_channel)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_write_matches_lexsort_writer_random(tmp_path, rng):
@@ -244,8 +260,17 @@ def test_write_matches_lexsort_writer_random(tmp_path, rng):
         write_tags(tmp_path / "a.bin", by_channel, channel_count=count + trial % 3)
         _lexsort_write(tmp_path / "b.bin", by_channel, count + trial % 3)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        write_tags_csv(tmp_path / "a.csv", by_channel)
+        _lexsort_write_csv(tmp_path / "b.csv", by_channel)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_write_rejects_more_channels_than_a_record_holds(tmp_path):
     with pytest.raises(DataFormatError):
         write_tags(tmp_path / "t.bin", [[1]] * 257, channel_count=257)
+
+
+def test_writers_reject_a_channel_count_below_the_list(tmp_path):
+    for write, name in ((write_tags, "t.bin"), (write_tags_csv, "t.csv")):
+        with pytest.raises(DataFormatError):
+            write(tmp_path / name, [[1], [2], [3]], channel_count=2)
