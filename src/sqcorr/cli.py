@@ -150,14 +150,24 @@ def _source_from_config(cfg: dict):
     _fail(EXIT_CONFIG, f"unknown source kind {src.get('kind')!r}")
 
 
+_OPTICS_FLOATS = ("eta", "jitter_sigma_ps", "dead_time_ps", "rep_rate_hz")
+
+
 def _optics_from_config(cfg: dict, n_pulses: int | None) -> OpticsConfig:
     try:
         opt = dict(cfg["optics"])
         if n_pulses is not None:
             opt["n_pulses"] = n_pulses
+        # a number given as a string is converted; a JSON number is kept as
+        # given, so the sidecar records it unchanged
+        if isinstance(opt.get("n_pulses"), str):
+            opt["n_pulses"] = int(opt["n_pulses"])
+        for key in _OPTICS_FLOATS:
+            if key in opt and not isinstance(opt[key], (int, float)):
+                opt[key] = float(opt[key])
         if "splitter" in opt:
             opt["splitter"] = tuple(float(p) for p in opt["splitter"])
-        return OpticsConfig(**{k: v for k, v in opt.items()})
+        return OpticsConfig(**opt)
     except (KeyError, TypeError, ValueError) as e:
         _fail(EXIT_CONFIG, f"bad optics config: {e!r}")
 
@@ -286,7 +296,7 @@ def _hist_options(fn):
 def analyze_g2(ctx, tagfile, channel_a, channel_b, bin_ps, range_ps, rep_rate_hz):
     """Histogram two channels and extract satellite-normalized g2(0)."""
     period = _period_ps(ctx, rep_rate_hz, tagfile)
-    tags = load_tags(tagfile)
+    tags = load_tags(tagfile, channels=(channel_a, channel_b))
     hist = coincidence_histogram_2(tags, channel_a, channel_b, bin_ps, range_ps,
                                    period_ps=period)
     est = extract_g2(hist, period_ps=period)
@@ -313,7 +323,7 @@ def analyze_g3(ctx, tagfile, channel_a, channel_b, channel_c, bin_ps, range_ps,
     period = _period_ps(ctx, rep_rate_hz, tagfile)
     if bin_ps is None:
         bin_ps = int(period / BIN2D_PER_PERIOD)
-    tags = load_tags(tagfile)
+    tags = load_tags(tagfile, channels=(channel_a, channel_b, channel_c))
     hist = coincidence_histogram_3(tags, channel_a, channel_b, channel_c, bin_ps,
                                    range_ps, period_ps=period)
     est = extract_g3(hist, period_ps=period)
@@ -343,8 +353,8 @@ def csi(ctx, tagfile, beam_i, beam_j, arms, bin_ps, range_ps, rep_rate_hz):
         _fail(EXIT_CONFIG, f"--beam-i and --beam-j must differ, both are {beam_i}")
     period = _period_ps(ctx, rep_rate_hz, tagfile)
     arms = _arms(ctx, arms, tagfile)
-    tags = load_tags(tagfile)
     ci, cj = beam_i * arms, beam_j * arms
+    tags = load_tags(tagfile, channels=(ci, ci + 1, cj, cj + 1))
 
     def g2_between(a, b):
         hist = coincidence_histogram_2(tags, a, b, bin_ps, range_ps, period_ps=period)

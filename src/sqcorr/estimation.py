@@ -393,6 +393,8 @@ def crossover_fit(intensity, yields) -> CrossoverFit:
         raise InvalidParameterError("intensity and yield must be 1d and equal length")
     if x.size < 4:
         raise DegenerateFitError("need at least 4 points for a broken power law")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InvalidParameterError("intensities and yields must be finite")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise InvalidParameterError("intensities and yields must be positive")
     order = np.argsort(x)

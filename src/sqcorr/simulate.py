@@ -277,7 +277,11 @@ def sample_clicks(
     pulses = start_pulse + _clicking_pulses(law.p_click, n_pulses, rng)
     n = np.searchsorted(law.cdf, rng.random(pulses.size), side="right")
     shares = _split_beams(n, _detected_photons(law, n, rng), law.n_beams, rng)
-    base = np.round(pulses.astype(np.float64) * optics.period_ps).astype(np.int64)
+    del n  # the arm split below is the block's peak; it needs only shares and base
+    base = pulses.astype(np.float64)
+    del pulses
+    base *= optics.period_ps
+    base = np.round(base, out=base).astype(np.int64)
     times = []
     for beam in range(law.n_beams):
         arms = _split_arms(shares[:, beam], optics.splitter, rng)
@@ -352,8 +356,10 @@ def generate_timetags(
     streams, clicks_total = [], []
     for ch in range(n_channels):
         t = np.concatenate([np.empty(0, dtype=np.int64)] + [times[ch] for times in blocks])
+        for times in blocks:
+            times[ch] = None  # a click is held once: in its block or in its channel
         # blocks come in pulse order, each sorted up to jitter: a merge sort's best case
-        t = np.sort(t, kind="stable")
+        t.sort(kind="stable")
         clicks_total.append(t.size)
         streams.append(_suppress_dead_time(t, optics.dead_time_ps))
     writer = write_tags_csv if str(path).endswith(".csv") else write_tags

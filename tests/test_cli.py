@@ -353,6 +353,103 @@ def test_non_finite_optics_or_source_exits_2(runner, tmp_path, source, optics):
     assert not (tmp_path / "s" / "tags.bin").exists()
 
 
+def test_optics_given_as_strings_are_converted(runner, tmp_path):
+    numeric = {"source": {"kind": "state", "modes": [{"n_th": 0.1}]},
+               "optics": {"eta": 0.5, "n_pulses": 2000, "jitter_sigma_ps": 40.0,
+                          "dead_time_ps": 5000.0, "rep_rate_hz": 2e7}}
+    strings = dict(numeric, optics={key: str(value)
+                                    for key, value in numeric["optics"].items()})
+    a = _simulate(runner, tmp_path, cfg=numeric, out="a")
+    b = _simulate(runner, tmp_path, cfg=strings, out="b")
+    assert (a / "tags.bin").read_bytes() == (b / "tags.bin").read_bytes()
+    assert (a / "tags.json").read_bytes() == (b / "tags.json").read_bytes()
+
+
+def test_optics_numbers_are_recorded_as_given(runner, tmp_path):
+    cfg = {"source": {"kind": "state", "modes": [{"n_th": 0.1}]},
+           "optics": {"eta": 1, "n_pulses": 2000, "dead_time_ps": 60000}}
+    out = _simulate(runner, tmp_path, cfg=cfg)
+    text = (out / "tags.json").read_text()
+    assert '"dead_time_ps": 60000,' in text and '"eta": 1,' in text
+
+
+@pytest.mark.parametrize("optics", [
+    {"eta": "half"},
+    {"eta": ""},
+    {"eta": None},
+    {"eta": [0.5]},
+    {"n_pulses": "2000.5"},
+    {"n_pulses": "many"},
+    {"jitter_sigma_ps": "wide"},
+    {"dead_time_ps": {"ps": 1}},
+    {"rep_rate_hz": "fast"},
+])
+def test_optics_not_a_number_exits_2(runner, tmp_path, optics):
+    cfg = {"source": {"kind": "state", "modes": [{"n_th": 0.1}]},
+           "optics": {"eta": 0.5, "n_pulses": 2000, **optics}}
+    res = runner.invoke(main, ["--config", _write_config(tmp_path, cfg),
+                               "--out", str(tmp_path / "s"), "simulate"])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert not (tmp_path / "s" / "tags.bin").exists()
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_crossover_non_finite_exits_2(runner, tmp_path, column, value):
+    rows = [[1.0, 1.0], [2.0, 4.0], [3.0, 9.0], [4.0, 16.0], [5.0, 25.0]]
+    rows[2][column] = value
+    data = tmp_path / "c.csv"
+    data.write_text("intensity,yield\n" + "".join(f"{a},{b}\n" for a, b in rows))
+    res = runner.invoke(main, ["--out", str(tmp_path / "x"), "crossover", str(data)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert not (tmp_path / "x" / "crossover.json").exists()
+
+
+def _record_loads(monkeypatch):
+    """The channels argument of every load_tags call the CLI makes."""
+    requested = []
+
+    def load(path, channels=None):
+        requested.append(sorted(channels))
+        return sqcorr.load_tags(path, channels)
+
+    monkeypatch.setattr("sqcorr.cli.load_tags", load)
+    return requested
+
+
+def test_analysis_reads_only_the_channels_it_bins(runner, tmp_path, monkeypatch):
+    cfg = {"source": {"kind": "pair", "n_bar": 0.5, "n_beams": 3},
+           "optics": {"eta": 0.3, "n_pulses": 60_000, "splitter": [0.4, 0.3, 0.3]}}
+    out = _simulate(runner, tmp_path, cfg=cfg)
+    tags = str(out / "tags.bin")
+    requested = _record_loads(monkeypatch)
+    for args, channels in [
+        (["analyze-g2", tags, "--channel-a", "4", "--channel-b", "7"], [4, 7]),
+        (["analyze-g3", tags, "--channel-a", "8", "--channel-b", "0", "--channel-c", "3"],
+         [0, 3, 8]),
+        (["csi", tags, "--beam-i", "2", "--beam-j", "1"], [3, 4, 6, 7]),
+        (["csi", tags, "--beam-i", "0", "--beam-j", "2"], [0, 1, 6, 7]),
+    ]:
+        requested.clear()
+        res = runner.invoke(main, ["--out", str(out)] + args)
+        assert res.exit_code == 0, res.output
+        assert requested == [channels]
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze-g2", "--channel-a", "0", "--channel-b", "3"],
+    ["analyze-g2", "--channel-a", "-1", "--channel-b", "1"],
+    ["analyze-g3", "--channel-c", "9"],
+    ["csi", "--beam-j", "2"],
+])
+def test_channel_outside_the_file_exits_3(runner, tmp_path, args):
+    out = _simulate(runner, tmp_path)
+    command, *options = args
+    res = runner.invoke(main, ["--out", str(out), command, str(out / "tags.bin"), *options])
+    assert res.exit_code == EXIT_DATA, res.output
+    assert "outside declared set" in res.output
+
+
 # README, "Exit codes": 2 configuration error, 3 data error, 4 convergence or
 # truncation failure
 _README_EXIT_CODES = {

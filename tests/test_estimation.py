@@ -323,6 +323,15 @@ def test_dataset_csv_rejects_malformed(tmp_path, body):
         read_dataset_csv(path)
 
 
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_crossover_rejects_non_finite(column, value):
+    cols = [np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([1.0, 4.0, 9.0, 16.0, 25.0])]
+    cols[column][2] = value
+    with pytest.raises(InvalidParameterError, match="finite"):
+        crossover_fit(*cols)
+
+
 def test_crossover_csv(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("intensity,yield\n0.5,1.0\n1.0,8.0\n")

@@ -4,7 +4,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from sqcorr import DataFormatError, load_tags, read_tags, write_tags
+from sqcorr import DataFormatError, InvalidParameterError, load_tags, read_tags, write_tags
+from sqcorr import tags as tagmod
 from sqcorr.tags import (
     FORMAT_VERSION,
     HEADER,
@@ -274,3 +275,116 @@ def test_writers_reject_a_channel_count_below_the_list(tmp_path):
     for write, name in ((write_tags, "t.bin"), (write_tags_csv, "t.csv")):
         with pytest.raises(DataFormatError):
             write(tmp_path / name, [[1], [2], [3]], channel_count=2)
+
+
+# cases for slice-by-slice writing with slices of a few records: cuts fall
+# between, on and inside runs of equal stamps
+_SLICED_CASES = [
+    # equal stamps on different channels at and around every cut
+    ([[1, 2, 3, 3, 4, 5, 6], [2, 3, 3, 5, 6, 6], [0, 3, 4, 6, 9]], 3),
+    # one run of equal stamps longer than a slice, across and within channels
+    ([[7] * 11 + [8], [1, 7, 7, 7], [7, 9]], 3),
+    ([[5] * 20], 1),
+    # an empty channel first, middle and last
+    ([[], [3, 1, 4, 1, 5], [], [9, 2, 6, 5, 3, 5], []], 5),
+    # channel_count above the list
+    ([[4, 2, 8, 8], [2, 9, 1]], 7),
+    # no channels, no records
+    ([], 2),
+    ([[], []], 2),
+    # unsorted, negative and repeated stamps
+    ([[30, -10, 20, -10, 5, 5, 5], [-500, 7, -1, 5], [7, 5]], 3),
+]
+
+
+@pytest.mark.parametrize("slice_records", [1, 2, 3, 5, 64])
+@pytest.mark.parametrize("case", _SLICED_CASES)
+def test_sliced_writers_match_one_shot_writers(tmp_path, monkeypatch, slice_records, case):
+    by_channel, count = case
+    monkeypatch.setattr(tagmod, "_SLICE_RECORDS", slice_records)
+    write_tags(tmp_path / "a.bin", by_channel, channel_count=count)
+    _lexsort_write(tmp_path / "b.bin", by_channel, count)
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+    write_tags_csv(tmp_path / "a.csv", by_channel, channel_count=count)
+    _lexsort_write_csv(tmp_path / "b.csv", by_channel)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_sliced_writers_match_one_shot_writers_random(tmp_path, monkeypatch, rng):
+    monkeypatch.setattr(tagmod, "_SLICE_RECORDS", 3)
+    for trial in range(30):
+        count = int(rng.integers(1, 9))
+        # narrow ranges give long runs of equal stamps, across and within channels
+        hi = (2, 30, 10**15)[trial % 3]
+        by_channel = [rng.integers(-hi, hi, rng.integers(0, 80)) for _ in range(count)]
+        write_tags(tmp_path / "a.bin", by_channel, channel_count=count + trial % 2)
+        _lexsort_write(tmp_path / "b.bin", by_channel, count + trial % 2)
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        write_tags_csv(tmp_path / "a.csv", by_channel)
+        _lexsort_write_csv(tmp_path / "b.csv", by_channel)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("slice_records", [16, 1000, 1 << 16])
+def test_slices_are_bounded_and_in_time_order(rng, monkeypatch, slice_records):
+    """Distinct stamps: no slice holds more than _SLICE_RECORDS + n_channels * step."""
+    monkeypatch.setattr(tagmod, "_SLICE_RECORDS", slice_records)
+    # uneven channel sizes; distinct stamps across every channel
+    stamps = rng.permutation(10**7)[:150_000]
+    cuts = [0, 5_000, 80_000, 80_001, 150_000]
+    by_channel = [np.sort(stamps[a:b]).astype(np.int64) for a, b in zip(cuts[:-1], cuts[1:])]
+    step = max(1, slice_records // (4 * len(by_channel)))
+    slices = list(tagmod._merged_slices(by_channel))
+    assert max(ts.size for _, ts in slices) <= slice_records + len(by_channel) * step
+    channel = np.concatenate([c for c, _ in slices])
+    ts = np.concatenate([t for _, t in slices])
+    np.testing.assert_array_equal(ts, np.sort(stamps))
+    for c, ch in enumerate(by_channel):
+        np.testing.assert_array_equal(ts[channel == c], ch)
+
+
+@pytest.mark.parametrize("form", ["bin", "csv"])
+@pytest.mark.parametrize("slice_records", [1, 7, 1 << 16])
+def test_every_channel_subset_matches_the_full_read(tmp_path, rng, monkeypatch, form,
+                                                    slice_records):
+    monkeypatch.setattr(tagmod, "_SLICE_RECORDS", slice_records)
+    count = 5
+    channels = rng.integers(0, count, 300)
+    stamps = rng.integers(-40, 40, 300)  # unsorted records with repeated stamps
+    path = tmp_path / f"t.{form}"
+    if form == "bin":
+        _write_records(path, channels, stamps, count)
+    else:
+        _write_rows(path, channels, stamps)
+    want = _brute_channels(channels, stamps, count)
+    for mask in range(1 << count):
+        keep = [c for c in range(count) if mask >> c & 1]
+        tags = load_tags(path, keep[::-1] + keep)  # order and repeats do not matter
+        assert tags.n_records == 300
+        assert tags.channel_count == count
+        for c in range(count):
+            if c in keep:
+                assert tags.channel(c).dtype == np.int64
+                np.testing.assert_array_equal(tags.channel(c), want[c])
+            else:
+                with pytest.raises(InvalidParameterError):
+                    tags.channel(c)
+
+
+@pytest.mark.parametrize("keep", [[3], [-1], [0, 4]])
+def test_reading_a_channel_outside_the_declared_set_raises(tmp_path, keep):
+    path = tmp_path / "t.bin"
+    write_tags(path, [[1], [2], [3]], channel_count=3)
+    with pytest.raises(DataFormatError, match="outside declared set"):
+        read_tags(path, keep)
+
+
+@pytest.mark.parametrize("keep", [None, [0], [1]])
+def test_record_channel_above_count_rejected_whatever_is_read(tmp_path, keep):
+    path = tmp_path / "t.bin"
+    _write_records(path, [0, 1, 0, 2], [1, 2, 3, 4], channel_count=2)
+    with pytest.raises(DataFormatError, match="declared count"):
+        read_tags(path, keep)
+    _write_rows(tmp_path / "t.csv", [0, 1, -1, 0], [1, 2, 3, 4])
+    with pytest.raises(DataFormatError, match="negative"):
+        read_tags_csv(tmp_path / "t.csv", channel_count=2, channels=keep)
