@@ -4,9 +4,8 @@ Delays are binned into an odd number of bins centered on integer multiples of
 the bin width, so the zero-delay peak and every satellite peak sit on a bin
 center: the window lower edge is lo_edge = -(nbins//2 * bin + bin//2), and a
 delay d in [lo_edge, lo_edge + nbins*bin) falls in bin (d - lo_edge) // bin.
-Anchors are processed in chunks, and pairs and triples in batches of anchors,
-to bound memory; partial histograms add, so the result is independent of the
-chunk and batch sizes.
+Anchors are processed in chunks, and triples in batches of anchors, to bound
+memory; partial histograms add, so the result is independent of either size.
 The anchors are split into at least one share per core in the process's
 affinity mask and the shares are binned in parallel (sqcorr.parallel); the
 counts do not depend on how many cores, and `taskset` limits them.
@@ -31,7 +30,6 @@ BIN2D_PER_PERIOD = 26
 DEFAULT_BIN2D_PS = int(LASER_PERIOD_PS / BIN2D_PER_PERIOD)
 DEFAULT_WINDOW2D_PERIODS = 4
 _CHUNK_ANCHORS = 1 << 20
-_CHUNK_PAIRS = 1 << 21
 _CHUNK_TRIPLES = 1 << 20
 
 
@@ -95,22 +93,9 @@ def _expand(lo: np.ndarray, m: np.ndarray):
 def _hist1d(ta: np.ndarray, tb: np.ndarray, bin_ps: int, nbins: int) -> np.ndarray:
     """Counts of delays tb - ta per bin, over every (anchor, partner) pair in the window."""
     lo_edge = _lo_edge(bin_ps, nbins)
-    lo, m = _windows(ta, tb, lo_edge, lo_edge + nbins * bin_ps)
-    # the expanded arrays grow with the pair count, not the anchor count, so
-    # anchors go in batches of about _CHUNK_PAIRS pairs each
-    ends = np.cumsum(m)
-    cuts = np.searchsorted(ends, np.arange(_CHUNK_PAIRS, ends[-1], _CHUNK_PAIRS),
-                           side="right").tolist()
-    counts = np.zeros(nbins, dtype=np.int64)
-    for s, e in zip([0, *cuts], [*cuts, ta.size]):
-        lo_b, m_b = lo[s:e], m[s:e]
-        # each pair's partner index, and its anchor's window edge by one repeat
-        partner = np.arange(int(m_b.sum())) - np.repeat(np.cumsum(m_b) - m_b - lo_b, m_b)
-        k = tb[partner]
-        k -= np.repeat(ta[s:e] + lo_edge, m_b)
-        k //= bin_ps
-        counts += np.bincount(k, minlength=nbins)
-    return counts
+    anchor, partner = _expand(*_windows(ta, tb, lo_edge, lo_edge + nbins * bin_ps))
+    k = (tb[partner] - ta[anchor] - lo_edge) // bin_ps
+    return np.bincount(k, minlength=nbins)
 
 
 def _hist2d(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, bin_ps: int,

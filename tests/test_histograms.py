@@ -112,17 +112,6 @@ def test_anchor_chunking_invariance(rng, monkeypatch):
     np.testing.assert_array_equal(full3.counts, chunked3.counts)
 
 
-@pytest.mark.parametrize("chunk_pairs", [1, 7, 1000])
-def test_pair_batching_invariance(rng, monkeypatch, chunk_pairs):
-    """Batches of a few pairs split anchors, even inside one anchor's window."""
-    ta = _grid_times(rng, 800, 50)
-    tb = _grid_times(rng, 900, 50)
-    want = _brute_hist1d(ta, tb, 100, 51)
-    assert want.sum() > chunk_pairs  # at least two batches
-    monkeypatch.setattr(histograms, "_CHUNK_PAIRS", chunk_pairs)
-    np.testing.assert_array_equal(_hist2(ta, tb, 100, 51), want)
-
-
 def test_identical_streams_fill_central_bin():
     t = np.arange(0, 10**6, 1000, dtype=np.int64)
     h = coincidence_histogram_2(_stream(t, t), 0, 1, 100, 550.0)
