@@ -39,12 +39,6 @@ from .exceptions import (
     SqcorrError,
     TruncationError,
 )
-from .fock import (
-    mode_density_matrix,
-    oracle_moments,
-    photon_number_pmf,
-    tensor_broadband_moments,
-)
 from .histograms import (
     Histogram1D,
     Histogram2D,
@@ -76,6 +70,20 @@ from .states import (
     wick_moments,
 )
 from .tags import TagStream, load_tags, read_tags, read_tags_csv, write_tags, write_tags_csv
+
+# the number-basis oracle certifies the closed forms in the tests; it is
+# imported on first use, so importing the package does not run it
+_FOCK_EXPORTS = ("mode_density_matrix", "oracle_moments", "photon_number_pmf",
+                 "tensor_broadband_moments")
+
+
+def __getattr__(name):
+    if name in _FOCK_EXPORTS:
+        from . import fock
+
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnalysisConfig",

@@ -12,9 +12,8 @@ rescaled.
 This oracle is the test certificate for the closed forms in the states
 module: it builds the state literally instead of assuming Gaussian pairing, so
 tests check m1, m2, m3, the broadband combination and the generating-function
-photon-number pmf against it. The runtime path does not call it; it takes
-thermal_pmf from the simulate module, so the import points from here to
-simulate and not back. This is the one module that imports scipy, and only
+photon-number pmf against it. The runtime path does not call it, and no
+runtime module imports it. This is the one module that imports scipy, and only
 when the oracle runs. scipy is not a runtime dependency: the oracle needs the
 `test` extra (`pip install 'sqcorr[test]'`).
 
@@ -29,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import InvalidParameterError, TruncationError
-from .simulate import thermal_pmf
 from .states import ModeParams, NormallyOrderedMoments
 
 # squeezing magnitudes below this are treated as zero (indistinguishable from
@@ -46,6 +44,17 @@ _THERMAL_COLUMN_CUTOFF = 1e-22
 # photon_number_pmf doubles its dimension up to this; a diagonal not yet
 # stable there raises TruncationError
 PMF_DIM_CEILING = 1 << 14
+
+
+def thermal_pmf(n_th: float, dim: int) -> np.ndarray:
+    """Geometric photon-number pmf p(n) = n_th^n / (1+n_th)^(n+1), length dim."""
+    if n_th <= 0.0:
+        p = np.zeros(dim)
+        p[0] = 1.0
+        return p
+    n = np.arange(dim)
+    # log space avoids overflow of n_th**n at large dim
+    return np.exp(n * np.log(n_th) - (n + 1) * np.log1p(n_th))
 
 
 @lru_cache(maxsize=64)

@@ -1,22 +1,24 @@
 """Synthetic pulsed-experiment generator.
 
-A source fixes the photon-number pmf p(n) of one beam in one pulse and a beam
-count B: B = 1 for a multimode state (p is the pmf of its total photon
-number, state_photon_pmf), B = n_beams for the pair source (geometric p, the
-same n in every beam). Every photon is detected independently with the
-end-to-end efficiency eta; a beam's detected photons are split multinomially
-across its detector arms, and an arm clicks when it gets at least one
-(SPADs report only presence). Click times are the pulse grid plus Gaussian
-jitter.
+A source puts n photons into each of B beams in one pulse: B = 1 for a
+multimode state (n is its total photon number), B = n_beams for the pair
+source (geometric n, the same in every beam). Every photon is detected
+independently with the end-to-end efficiency eta and goes to arm a of its
+beam with the splitter ratio f_a; an arm clicks when it gets at least one
+(SPADs report only presence). Channel b * n_arms + a is arm a of beam b.
+Click times are the pulse grid plus Gaussian jitter.
 
-Only the pulses that click are drawn, from the exact law of that chain. A
-pulse with n photons per beam is silent with probability (1-eta)^(Bn), so
-clicking pulses are Bernoulli(P_click) with P_click = sum p(n)(1-(1-eta)^(Bn))
-and their indices follow from geometric gaps. Each clicking pulse draws n
-from p(n)(1-(1-eta)^(Bn)) / P_click by inverse CDF, then K >= 1, the photons
-detected over all beams: the first detected photon is geometric truncated
-to [1, Bn] and the photons after it are detected freely. K is split over the
-beams hypergeometrically (each holds n) and each beam's share over its arms.
+Only the set of channels that click reaches the tag file, so each clicking
+pulse draws that set in one step from its exact law, built once per run by
+click_patterns. A channel set U stays silent with probability
+N(U) = E[(1 - s_U)^n], 1 - s_U = prod_b (1 - eta sum_{a in U, beam b} f_a),
+a closed form of the source's generating function (states.photon_log_pgf,
+or 1/(1 + n_bar s) for the pair source). From D(U) = 1 - N(U), one superset
+Moebius transform over the 2^C channel sets gives the probability of every
+exact pattern, with rounding of order 2^C eps p_click; C is at most
+MAX_CHANNELS. Clicking pulses are Bernoulli(p_click), p_click = D(all
+channels), with indices from geometric gaps; each draws its pattern with one
+uniform searched in the cumulative table.
 Pulses are taken in fixed-size blocks seeded from spawned sub-streams, so
 output files are bit-identical for a given (config, seed) regardless of how
 generation is scheduled, and no array spans all pulses. The blocks are drawn
@@ -51,6 +53,8 @@ from .states import (
 from .tags import write_tags, write_tags_csv
 
 _BLOCK_PULSES = 1 << 20
+# click_patterns tabulates all 2^C channel sets: 65,536 at this cap
+MAX_CHANNELS = 16
 
 # photon-number pmfs drop a tail of at most this mass
 PMF_TAIL = 1e-15
@@ -151,22 +155,9 @@ def state_photon_pmf(state: MultimodeState) -> np.ndarray:
     return p / p.sum()
 
 
-def thermal_pmf(n_th: float, dim: int) -> np.ndarray:
-    """Geometric photon-number pmf p(n) = n_th^n / (1+n_th)^(n+1), length dim."""
-    if n_th <= 0.0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-        return p
-    n = np.arange(dim)
-    # log space avoids overflow of n_th**n at large dim
-    return np.exp(n * np.log(n_th) - (n + 1) * np.log1p(n_th))
-
-
-def _pair_pmf(cfg: PairSourceConfig) -> np.ndarray:
-    """Geometric per-beam pmf of the pair source, up to a PMF_TAIL tail."""
-    q = cfg.n_bar / (1.0 + cfg.n_bar)
-    p = thermal_pmf(cfg.n_bar, int(math.ceil(math.log(PMF_TAIL) / math.log(q))))
-    return p / p.sum()
+def _pair_clicked(n_bar: float, s):
+    """1 - E[(1-s)^n] = n_bar s / (1 + n_bar s) for geometric n of mean n_bar."""
+    return n_bar * s / (1.0 + n_bar * s)
 
 
 def _as_state(source) -> MultimodeState:
@@ -178,46 +169,60 @@ def _as_state(source) -> MultimodeState:
 
 
 @dataclass(frozen=True)
-class ClickLaw:
-    """Law of one clicking pulse, built once per run by click_law.
+class ClickPatterns:
+    """Law of one pulse's click pattern, built once per run by click_patterns.
 
-    cdf[n] is the probability, given a click, that each beam holds at most n
-    photons; heard[n] = 1 - (1-eta)^(Bn) is the probability that at least one
-    of the Bn photons of a pulse is detected.
+    Bit c of a pattern is channel c. prob[S] is the probability that exactly
+    the channels of S click (prob[0] = 0), p_click the probability that any
+    does, and cdf the cumulative prob, normalized to end at 1.
     """
 
     p_click: float
-    n_beams: int
-    eta: float
-    heard: np.ndarray
+    prob: np.ndarray
     cdf: np.ndarray
 
-
-def click_law(pmf, n_beams: int, eta: float) -> ClickLaw:
-    """Click law of B = n_beams beams that each hold n ~ pmf photons, thinned by eta."""
-    pmf = np.asarray(pmf, dtype=float)
-    trials = n_beams * np.arange(pmf.size)
-    heard = -np.expm1(trials * math.log1p(-eta)) if eta < 1.0 else (trials > 0).astype(float)
-    cdf = np.cumsum(pmf * heard)
-    p_click = min(float(cdf[-1]), 1.0) if cdf.size else 0.0  # 1 - P(no photon detected)
-    if p_click > 0.0:
-        cdf /= cdf[-1]
-    return ClickLaw(p_click, n_beams, eta, heard, cdf)
+    @property
+    def n_channels(self) -> int:
+        return self.prob.size.bit_length() - 1
 
 
-def _detected_photons(law: ClickLaw, n: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """K ~ Binomial(Bn, eta) given K >= 1, for pulses with n photons per beam.
+def click_patterns(clicked, n_beams: int, optics: OpticsConfig) -> ClickPatterns:
+    """Exact click-pattern law of n_beams beams, each behind optics' splitter.
 
-    The first detected photon J is geometric truncated to [1, Bn], drawn by
-    inverse CDF; the Bn - J photons after it are detected freely.
+    clicked(s) = 1 - E[(1-s)^n], over an array of s in [0, 1], is the chance
+    that at least one of n photons survives a thinning to s; every beam holds
+    the same n. Raises InvalidParameterError above MAX_CHANNELS channels, and
+    TruncationError if rounding leaves a pattern probability below
+    -2^C 8 eps p_click (entries above that are clamped to 0).
     """
-    trials = law.n_beams * n
-    if law.eta >= 1.0:
-        return trials
-    u = rng.random(n.size)
-    first = np.ceil(np.log1p(-u * law.heard[n]) / math.log1p(-law.eta))
-    first = np.clip(first, 1, trials).astype(np.int64)
-    return 1 + rng.binomial(trials - first, law.eta)
+    n_channels = n_beams * optics.n_arms
+    if n_channels > MAX_CHANNELS:
+        raise InvalidParameterError(
+            f"{n_beams} beams x {optics.n_arms} arms = {n_channels} channels; "
+            f"the click-pattern table holds at most {MAX_CHANNELS}")
+    arms = np.arange(1 << optics.n_arms)
+    ratio = sum(((arms >> a) & 1) * f for a, f in enumerate(optics.splitter))
+    caught = np.minimum(optics.eta * ratio, 1.0)  # a photon clicks one of these arms
+    log_kept = np.full(caught.shape, -np.inf)  # -inf where every photon is caught
+    np.log1p(-caught, out=log_kept, where=caught < 1.0)
+    log_kept_all = log_kept
+    for _ in range(n_beams - 1):  # later beams take the higher bits
+        log_kept_all = np.add.outer(log_kept, log_kept_all).ravel()
+    d = clicked(-np.expm1(log_kept_all))  # d[U]: some channel of U clicks
+    p_click = max(float(d[-1]), 0.0)
+    for c in range(n_channels):
+        half = d.reshape(-1, 2, 1 << c)
+        half[:, 0] -= half[:, 1]
+    prob = -d[::-1]  # -d[R] is P(exactly the channels outside R click), R != all
+    prob[0] = 0.0
+    floor = -(2.0**n_channels) * 8.0 * np.finfo(float).eps * p_click
+    if prob.min() < floor:
+        raise TruncationError(f"click-pattern probability {prob.min():.3g} below {floor:.3g}")
+    np.maximum(prob, 0.0, out=prob)
+    cdf = np.cumsum(prob)
+    if cdf[-1] > 0.0:
+        cdf /= cdf[-1]
+    return ClickPatterns(p_click, prob, cdf)
 
 
 def _clicking_pulses(p_click: float, n_pulses: int, rng: np.random.Generator) -> np.ndarray:
@@ -232,36 +237,8 @@ def _clicking_pulses(p_click: float, n_pulses: int, rng: np.random.Generator) ->
     return pos[: int(np.searchsorted(pos, n_pulses))]
 
 
-def _split_beams(n: np.ndarray, k: np.ndarray, n_beams: int, rng: np.random.Generator) -> np.ndarray:
-    """Hypergeometric split of k detected photons over beams holding n each."""
-    shares = np.empty((k.size, n_beams), dtype=np.int64)
-    rem = k
-    for b in range(n_beams - 1):
-        take = rng.hypergeometric(n, (n_beams - 1 - b) * n, rem)
-        shares[:, b] = take
-        rem = rem - take
-    shares[:, -1] = rem
-    return shares
-
-
-def _split_arms(
-    kept: np.ndarray, splitter: tuple[float, ...], rng: np.random.Generator
-) -> np.ndarray:
-    """Multinomial split of kept photons across arms, per pulse."""
-    arms = np.empty((kept.size, len(splitter)), dtype=np.int64)
-    rem = kept
-    p_left = 1.0
-    for a, frac in enumerate(splitter[:-1]):
-        take = rng.binomial(rem, min(max(frac / p_left, 0.0), 1.0))
-        arms[:, a] = take
-        rem = rem - take
-        p_left -= frac
-    arms[:, -1] = rem
-    return arms
-
-
 def sample_clicks(
-    law: ClickLaw,
+    law: ClickPatterns,
     optics: OpticsConfig,
     rng: np.random.Generator,
     n_pulses: int,
@@ -269,29 +246,24 @@ def sample_clicks(
 ) -> list[np.ndarray]:
     """Draw the clicks of pulses start_pulse .. start_pulse + n_pulses - 1.
 
-    Returns one unsorted int64 ps array of click times per channel (channels
-    beam-major). Dead-time suppression is applied by the caller on the
-    assembled streams so block boundaries cannot leak clicks.
+    Returns one unsorted int64 ps array of click times per channel. The caller
+    validates optics once per run, and applies dead time on the assembled
+    streams so block boundaries cannot leak clicks.
     """
-    optics.validate()
     pulses = start_pulse + _clicking_pulses(law.p_click, n_pulses, rng)
-    n = np.searchsorted(law.cdf, rng.random(pulses.size), side="right")
-    shares = _split_beams(n, _detected_photons(law, n, rng), law.n_beams, rng)
-    del n  # the arm split below is the block's peak; it needs only shares and base
+    # uint16 holds MAX_CHANNELS bits, and a bool mask is the fastest to search
+    pattern = np.searchsorted(law.cdf, rng.random(pulses.size), side="right").astype(np.uint16)
     base = pulses.astype(np.float64)
     del pulses
     base *= optics.period_ps
     base = np.round(base, out=base).astype(np.int64)
     times = []
-    for beam in range(law.n_beams):
-        arms = _split_arms(shares[:, beam], optics.splitter, rng)
-        for a in range(optics.n_arms):
-            idx = np.flatnonzero(arms[:, a])
-            t = base[idx]
-            if optics.jitter_sigma_ps > 0:
-                jitter = rng.normal(0.0, optics.jitter_sigma_ps, idx.size)
-                t = t + np.round(jitter).astype(np.int64)
-            times.append(t)
+    for c in range(law.n_channels):
+        idx = np.flatnonzero((pattern & (1 << c)) != 0)
+        t = base[idx]
+        if optics.jitter_sigma_ps > 0:
+            t += np.round(rng.normal(0.0, optics.jitter_sigma_ps, idx.size)).astype(np.int64)
+        times.append(t)
     return times
 
 
@@ -338,11 +310,11 @@ def generate_timetags(
     pair = isinstance(source, PairSourceConfig)
     if pair:
         source.validate()
-        law = click_law(_pair_pmf(source), source.n_beams, optics.eta)
+        law = click_patterns(lambda s: _pair_clicked(source.n_bar, s), source.n_beams, optics)
     else:
         state = _as_state(source)
-        law = click_law(state_photon_pmf(state), 1, optics.eta)
-    n_channels = law.n_beams * optics.n_arms
+        law = click_patterns(lambda s: -np.expm1(photon_log_pgf(state, s)), 1, optics)
+    n_channels = law.n_channels
 
     n_blocks = -(-optics.n_pulses // _BLOCK_PULSES)
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
@@ -438,20 +410,18 @@ def pair_source_click_expectations(cfg: PairSourceConfig, optics: OpticsConfig) 
 
     Same-beam detectors share a multinomial split (a photon avoids both arms
     with probability 1 - q1 - q2); detectors on different beams thin the same
-    n independently (joint no-click factor (1-q)(1-q') per photon).
+    n independently (joint no-click factor (1-q)(1-q') per photon). Each
+    no-click probability is the geometric closed form 1/(1 + n_bar s).
     """
     cfg.validate()
     optics.validate()
-    pmf = _pair_pmf(cfg)
     q1 = optics.eta * optics.splitter[0]
     q2 = optics.eta * optics.splitter[1] if optics.n_arms > 1 else q1
-    s1 = 1.0 - _gen_fn(pmf, q1)
-    s2 = 1.0 - _gen_fn(pmf, q2)
-    auto = 1.0 - _gen_fn(pmf, q1) - _gen_fn(pmf, q2) + _gen_fn(pmf, q1 + q2)
+    s1 = _pair_clicked(cfg.n_bar, q1)
+    s2 = _pair_clicked(cfg.n_bar, q2)
+    auto = s1 + s2 - _pair_clicked(cfg.n_bar, q1 + q2)
     g2_auto = auto / (s1 * s2)
-    n = np.arange(pmf.size)
-    f_cross = float(np.dot(pmf, ((1.0 - q1) * (1.0 - q1)) ** n))
-    cross = 1.0 - 2.0 * _gen_fn(pmf, q1) + f_cross
+    cross = 2.0 * s1 - _pair_clicked(cfg.n_bar, q1 * (2.0 - q1))
     g2_cross = cross / (s1 * s1)
     return {
         "g2_auto": g2_auto,

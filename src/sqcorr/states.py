@@ -179,8 +179,8 @@ def photon_log_pgf(state: MultimodeState, s) -> np.ndarray:
     out = np.zeros(s.shape, dtype=np.result_type(s, float))
     # one mode at a time: s may be long, and modes x points would not fit
     for lp, lm, a, b in zip(n + m_abs, n - m_abs, rot.real, rot.imag):
-        dp, dm = 1.0 + s * lp, 1.0 + s * lm
-        out += -s * (a * a / dp + b * b / dm) - 0.5 * (np.log(dp) + np.log(dm))
+        xp, xm = s * lp, s * lm  # log1p keeps the relative precision of small s
+        out += -s * (a * a / (1.0 + xp) + b * b / (1.0 + xm)) - 0.5 * (np.log1p(xp) + np.log1p(xm))
     return out
 
 

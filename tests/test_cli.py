@@ -337,6 +337,27 @@ def test_invalid_optics_exits_2(runner, tmp_path):
     assert res.exit_code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("source, splitter", [
+    ({"kind": "pair", "n_bar": 0.1, "n_beams": 17}, [1.0]),
+    ({"kind": "pair", "n_bar": 0.1, "n_beams": 3}, [1 / 6] * 6),
+    ({"kind": "state", "modes": [{"n_th": 0.1}]}, [1 / 17] * 17),
+], ids=["17x1", "3x6", "1x17"])
+def test_more_than_16_channels_exits_2(runner, tmp_path, source, splitter):
+    cfg = {"source": source, "optics": {"eta": 0.5, "n_pulses": 1000, "splitter": splitter}}
+    res = runner.invoke(main, ["--config", _write_config(tmp_path, cfg),
+                               "--out", str(tmp_path / "s"), "simulate"])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "at most 16" in res.output
+    assert not (tmp_path / "s" / "tags.bin").exists()
+
+
+def test_16_channels_simulate(runner, tmp_path):
+    cfg = {"source": {"kind": "pair", "n_bar": 0.1, "n_beams": 4},
+           "optics": {"eta": 0.5, "n_pulses": 1000, "splitter": [0.25] * 4}}
+    out = _simulate(runner, tmp_path, cfg)
+    assert json.loads((out / "tags.json").read_text())["n_channels"] == 16
+
+
 @pytest.mark.parametrize("source, optics", [
     ({}, {"rep_rate_hz": float("nan")}),
     ({}, {"rep_rate_hz": float("inf")}),

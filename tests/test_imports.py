@@ -119,3 +119,17 @@ def test_fit_still_finds_scipy():
     """The probe itself sees an import of scipy, by the test-only Fock oracle."""
     assert _loads_scipy("from sqcorr import ModeParams, oracle_moments\n"
                         "oracle_moments(ModeParams(r=0.3))")
+
+
+@pytest.mark.parametrize("module", ["sqcorr", "sqcorr.cli"])
+def test_import_does_not_run_fock(module):
+    """The oracle module loads only when one of its names is first asked for."""
+    code = (f"import sys, {module}\n"
+            "assert 'sqcorr.fock' not in sys.modules, 'imported'\n"
+            "from sqcorr import oracle_moments, tensor_broadband_moments\n"
+            "import sqcorr.fock\n"
+            "assert oracle_moments is sqcorr.fock.oracle_moments\n"
+            "assert tensor_broadband_moments is sqcorr.fock.tensor_broadband_moments\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,11 @@
 """Synthetic tag generation against exact click-level analytics."""
 import ast
 import inspect
+import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,16 +27,15 @@ from sqcorr import (
     state_photon_pmf,
 )
 from sqcorr import simulate
-from sqcorr.fock import photon_number_pmf
+from sqcorr.fock import photon_number_pmf, thermal_pmf
 from sqcorr.simulate import (
     _BLOCK_PULSES,
-    _detected_photons,
-    _pair_pmf,
+    _pair_clicked,
     _suppress_dead_time,
-    click_law,
+    click_patterns,
     sample_clicks,
-    thermal_pmf,
 )
+from sqcorr.states import photon_log_pgf
 
 
 def test_state_pmf_single_thermal_is_geometric():
@@ -108,36 +109,99 @@ def test_state_pmf_raises_at_fft_ceiling(monkeypatch):
         state_photon_pmf(state)
 
 
-def test_click_law_tables():
-    pmf = np.array([0.5, 0.3, 0.2])
-    law = click_law(pmf, 2, 0.25)
-    want = np.array([0.0, 0.3 * (1 - 0.75**2), 0.2 * (1 - 0.75**4)])
-    assert law.p_click == pytest.approx(want.sum(), rel=1e-14)
-    np.testing.assert_allclose(law.heard, [0.0, 1 - 0.75**2, 1 - 0.75**4], rtol=1e-14)
-    np.testing.assert_allclose(law.cdf, np.cumsum(want) / want.sum(), rtol=1e-14)
-    lossless = click_law(pmf, 1, 1.0)
-    assert lossless.p_click == pytest.approx(0.5, rel=1e-15)
-    np.testing.assert_allclose(lossless.cdf, [0.0, 0.6, 1.0], rtol=1e-14)
-    assert click_law([1.0], 3, 0.5).p_click == 0.0
+def _pmf_clicked(pmf):
+    """clicked(s) = 1 - E[(1-s)^n] of a photon-number pmf, summed term by term."""
+    pmf = np.asarray(pmf, dtype=float)
+    n = np.arange(pmf.size)[:, None]
+    return lambda s: pmf @ (1.0 - (1.0 - np.asarray(s)[None, :]) ** n)
 
 
-@pytest.mark.parametrize("n_beams, n, eta", [(2, 3, 0.3), (1, 1, 0.05), (3, 40, 0.02)])
-def test_detected_photons_follow_truncated_binomial(rng, n_beams, n, eta):
-    """K is Binomial(Bn, eta) conditioned on K >= 1, bin by bin."""
-    law = click_law(np.eye(n + 1)[n], n_beams, eta)
-    draws = 200_000
-    k = _detected_photons(law, np.full(draws, n), rng)
-    trials = n_beams * n
-    assert k.min() >= 1 and k.max() <= trials
-    j = np.arange(1, trials + 1)
-    log_b = (np.array([math.lgamma(trials + 1) - math.lgamma(x + 1) - math.lgamma(trials - x + 1)
-                       for x in j]) + j * math.log(eta) + (trials - j) * math.log1p(-eta))
-    want = np.exp(log_b) / np.exp(log_b).sum()
-    got = np.bincount(k, minlength=trials + 1)[1:]
-    for count, p in zip(got, want):
-        assert _within_5_sigma(count, draws, p)
-    np.testing.assert_array_equal(_detected_photons(click_law(np.eye(n + 1)[n], n_beams, 1.0),
-                                                    np.array([n]), rng), [trials])
+def _brute_force_patterns(pmf, n_beams, splitter, eta):
+    """P(exactly the channels of S click), photon by photon over every fate."""
+    n_arms = len(splitter)
+    fate_prob = [eta * f for f in splitter] + [1.0 - eta]  # last fate: not detected
+    out = np.zeros(1 << (n_beams * n_arms))
+    for n, p_n in enumerate(pmf):
+        beam = np.zeros(1 << n_arms)  # one beam's pattern law given n
+        for fates in itertools.product(range(n_arms + 1), repeat=n):
+            mask = sum({1 << f for f in fates if f < n_arms})
+            beam[mask] += math.prod(fate_prob[f] for f in fates)
+        joint = np.ones(1)
+        for _ in range(n_beams):  # beams are independent given n; later beams, higher bits
+            joint = np.outer(beam, joint).ravel()
+        out += p_n * joint
+    return out
+
+
+@pytest.mark.parametrize("pmf, n_beams, splitter, eta", [
+    ([0.3, 0.25, 0.2, 0.15, 0.1], 1, (0.5, 0.3, 0.2), 0.4),
+    ([0.3, 0.25, 0.2, 0.15, 0.1], 2, (0.6, 0.4), 0.7),
+    ([0.5, 0.3, 0.2], 3, (1.0,), 0.25),
+    ([0.1, 0.2, 0.3, 0.4], 3, (0.5, 0.2, 0.3), 0.05),
+    ([0.4, 0.3, 0.2, 0.1], 2, (0.7, 0.0, 0.3), 1.0),
+    ([0.0, 0.0, 0.0, 1.0], 1, (0.25, 0.25, 0.25, 0.25), 0.9),
+], ids=["1x3", "2x2", "3x1", "3x3-dim", "2x3-lossless-empty-arm", "1x4-three-photons"])
+def test_pattern_table_matches_brute_force(pmf, n_beams, splitter, eta):
+    optics = OpticsConfig(eta=eta, n_pulses=1, splitter=splitter)
+    law = click_patterns(_pmf_clicked(pmf), n_beams, optics)
+    want = _brute_force_patterns(pmf, n_beams, splitter, eta)
+    assert law.n_channels == n_beams * len(splitter)
+    assert law.p_click == pytest.approx(1.0 - want[0], rel=1e-12)
+    assert law.prob[0] == 0.0
+    np.testing.assert_allclose(law.prob[1:], want[1:], rtol=0, atol=1e-12 * law.p_click)
+    np.testing.assert_allclose(law.cdf, np.cumsum(law.prob) / law.prob.sum(), rtol=1e-14)
+    assert law.cdf[-1] == 1.0
+
+
+def test_pattern_table_matches_click_expectations_h4(h4):
+    state = expand_hyperparams(h4)
+    q = 0.045 / 3.0
+    optics = OpticsConfig(eta=0.045, n_pulses=1, splitter=(1 / 3, 1 / 3, 1 / 3))
+    law = click_patterns(lambda s: -np.expm1(photon_log_pgf(state, s)), 1, optics)
+    exp = click_expectations(state_photon_pmf(state), [q, q, q])
+    tol = 1e-12 * law.p_click
+    masks = np.arange(8)
+    for c, single in enumerate(exp["singles"]):
+        assert abs(law.prob[masks & (1 << c) > 0].sum() - single) < tol
+    assert abs(law.prob[3] + law.prob[7] - exp["pair"]) < tol
+    assert abs(law.prob[7] - exp["triple"]) < tol
+
+
+def test_pattern_table_lossless_zero_arm_and_vacuum():
+    """eta = 1 with an empty arm, and a vacuum source: exact zeros, no log of zero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lossless = OpticsConfig(eta=1.0, n_pulses=1, splitter=(1.0, 0.0))
+        law = click_patterns(_pmf_clicked([0.0, 1.0]), 1, lossless)
+        assert law.p_click == 1.0
+        np.testing.assert_array_equal(law.prob, [0.0, 1.0, 0.0, 0.0])
+        pair = click_patterns(lambda s: _pair_clicked(0.7, s), 2, lossless)
+        assert pair.p_click == pytest.approx(0.7 / 1.7, rel=1e-15)
+        # only arm 0 of each beam can click, and both beams hold the same n
+        assert pair.prob[0b0101] == pytest.approx(pair.p_click, rel=1e-15)
+        assert np.count_nonzero(pair.prob) == 1
+        state = MultimodeState((ModeParams(r=0.4, alpha=0.3, n_th=0.1),))
+        law = click_patterns(lambda s: -np.expm1(photon_log_pgf(state, s)), 1, lossless)
+        assert law.prob[2] == 0.0 and law.prob[3] == 0.0
+        vacuum = MultimodeState((ModeParams(),))
+        optics = OpticsConfig(eta=1.0, n_pulses=5000, splitter=(0.5, 0.5))
+        law = click_patterns(lambda s: -np.expm1(photon_log_pgf(vacuum, s)), 1, optics)
+        assert law.p_click == 0.0 and not law.prob.any()
+        times = sample_clicks(law, optics, np.random.default_rng(3), optics.n_pulses)
+    assert [t.size for t in times] == [0, 0]
+
+
+def test_pattern_table_clamps_rounding_and_raises_beyond_it():
+    """Both arms of a one-photon pulse never click; 2 eps of noise in D is clamped."""
+    optics = OpticsConfig(eta=1.0, n_pulses=1, splitter=(0.5, 0.5))
+    one = _pmf_clicked([0.4, 0.6])
+    eps = np.finfo(float).eps
+    law = click_patterns(lambda s: one(s) * (1.0 + 2.0 * eps * (s == 1.0)), 1, optics)
+    assert law.prob[3] == 0.0  # -1.2 eps before the clamp
+    np.testing.assert_allclose(law.prob[1:3], [0.3, 0.3], rtol=1e-14)
+    # D(both arms) below D(one arm) is no law: P(only arm 0) would be -1/4
+    with pytest.raises(TruncationError):
+        click_patterns(lambda s: np.where(s < 1.0, s, 0.25), 1, optics)
 
 
 def _clicking(times, period_ps):
@@ -147,7 +211,7 @@ def _clicking(times, period_ps):
 
 def test_sample_clicks_lossless_single_arm(rng):
     cfg = OpticsConfig(eta=1.0, n_pulses=20_000, splitter=(1.0,), jitter_sigma_ps=0.0)
-    law = click_law([0.6, 0.1, 0.3], 1, cfg.eta)
+    law = click_patterns(_pmf_clicked([0.6, 0.1, 0.3]), 1, cfg)
     times = sample_clicks(law, cfg, rng, cfg.n_pulses)
     pulses = _clicking(times, cfg.period_ps)
     assert pulses.size == times[0].size
@@ -160,10 +224,11 @@ def test_sample_clicks_lossless_single_arm(rng):
 
 def test_sample_clicks_single_photon_clicks_one_arm(rng):
     cfg = OpticsConfig(eta=1.0, n_pulses=5000, jitter_sigma_ps=0.0)
-    times = sample_clicks(click_law([0.0, 1.0], 1, cfg.eta), cfg, rng, 5000)
+    times = sample_clicks(click_patterns(_pmf_clicked([0.0, 1.0]), 1, cfg), cfg, rng, 5000)
     both = np.concatenate(times)
     np.testing.assert_array_equal(
         np.sort(both), np.round(np.arange(5000) * cfg.period_ps).astype(np.int64))
+    assert 0 < times[0].size < 5000
 
 
 def test_sample_clicks_splitter_ratios(rng):
@@ -171,7 +236,7 @@ def test_sample_clicks_splitter_ratios(rng):
                        jitter_sigma_ps=0.0)
     n = np.arange(40)
     pmf = np.exp(-5.0) * 5.0**n / [math.factorial(int(k)) for k in n]
-    times = sample_clicks(click_law(pmf, 1, cfg.eta), cfg, rng, cfg.n_pulses)
+    times = sample_clicks(click_patterns(_pmf_clicked(pmf), 1, cfg), cfg, rng, cfg.n_pulses)
     want = click_expectations(pmf, cfg.splitter)["singles"]
     for t, p in zip(times, want):
         exp = p * cfg.n_pulses
@@ -180,7 +245,7 @@ def test_sample_clicks_splitter_ratios(rng):
 
 def test_sample_clicks_start_pulse_offset():
     cfg = OpticsConfig(eta=1.0, n_pulses=3, splitter=(1.0,), jitter_sigma_ps=0.0)
-    law = click_law([0.0, 1.0], 1, cfg.eta)
+    law = click_patterns(_pmf_clicked([0.0, 1.0]), 1, cfg)
     t0 = sample_clicks(law, cfg, np.random.default_rng(1), 3)
     t7 = sample_clicks(law, cfg, np.random.default_rng(1), 3, start_pulse=7)
     want = np.round((7 + np.arange(3)) * cfg.period_ps).astype(np.int64)
@@ -286,10 +351,9 @@ def test_generation_memory_follows_clicks_not_pulses(tmp_path):
 
 
 def test_bright_pair_source_memory_linear_in_pmf(tmp_path):
-    """n_bar = 100 over three beams: a pmf of ~3500 entries, up to ~10^4 photons a pulse."""
+    """n_bar = 100 over three beams: the law is closed-form, so brightness costs no memory."""
     src = PairSourceConfig(n_bar=100.0, n_beams=3)
     optics = OpticsConfig(eta=0.005, n_pulses=4000, jitter_sigma_ps=0.0)
-    assert _pair_pmf(src).size > 3000
     tracemalloc.start()
     try:
         sidecar = generate_timetags(src, optics, 9, tmp_path / "t.bin")
@@ -298,8 +362,7 @@ def test_bright_pair_source_memory_linear_in_pmf(tmp_path):
         tracemalloc.stop()
     assert peak < 2_000_000
     ref = pair_source_click_expectations(src, optics)
-    pmf = _pair_pmf(src)
-    single = 1.0 - float(np.dot(pmf, (1.0 - optics.eta / 2) ** np.arange(pmf.size)))
+    single = _pair_clicked(src.n_bar, optics.eta / 2)
     for rate in sidecar["clicks_per_pulse_per_channel"]:
         assert _within_5_sigma(round(rate * optics.n_pulses), optics.n_pulses, single)
     ch = [load_tags(tmp_path / "t.bin").channel(i) for i in range(6)]
@@ -357,14 +420,12 @@ def test_generated_pair_source_click_rates(tmp_path):
     generate_timetags(src, optics, 8, tmp_path / "t.bin")
     ch = [load_tags(tmp_path / "t.bin").channel(i) for i in range(6)]
     n = optics.n_pulses
-    pmf = _pair_pmf(src)
-    p0 = float(np.dot(pmf, (1.0 - optics.eta) ** (3 * np.arange(pmf.size))))
     anyclick = ch[0]
     for t in ch[1:]:
         anyclick = np.union1d(anyclick, t)
-    assert _within_5_sigma(anyclick.size, n, 1.0 - p0)
+    assert _within_5_sigma(anyclick.size, n, _pair_clicked(src.n_bar, 1.0 - (1.0 - optics.eta) ** 3))
     ref = pair_source_click_expectations(src, optics)
-    single = 1.0 - float(np.dot(pmf, (1.0 - optics.eta / 2) ** np.arange(pmf.size)))
+    single = _pair_clicked(src.n_bar, optics.eta / 2)
     for t in ch:
         assert _within_5_sigma(t.size, n, single)
     for beam in range(3):
@@ -372,6 +433,28 @@ def test_generated_pair_source_click_rates(tmp_path):
         assert _within_5_sigma(auto, n, ref["pair_prob_auto"])
     for i, j in ((0, 2), (0, 4), (2, 4)):
         assert _within_5_sigma(np.intersect1d(ch[i], ch[j]).size, n, ref["pair_prob_cross"])
+
+
+def test_generated_pair_source_pattern_frequencies(tmp_path):
+    """Every pattern of a 2-beam x 2-arm pair source, counted from the tags, within 5 sigma."""
+    src = PairSourceConfig(n_bar=0.8, n_beams=2)
+    optics = OpticsConfig(eta=0.3, n_pulses=300_000, splitter=(0.6, 0.4), jitter_sigma_ps=0.0)
+    generate_timetags(src, optics, 21, tmp_path / "t.bin")
+    tags = load_tags(tmp_path / "t.bin")
+    pattern = np.zeros(optics.n_pulses, dtype=np.int64)
+    for c in range(4):
+        pattern[np.round(tags.channel(c) / optics.period_ps).astype(np.int64)] |= 1 << c
+    got = np.bincount(pattern, minlength=16)
+    law = click_patterns(lambda s: _pair_clicked(src.n_bar, s), 2, optics)
+    assert law.prob[1:].min() > 1e-3  # every pattern is seen often enough to count
+    assert _within_5_sigma(got[0], optics.n_pulses, 1.0 - law.p_click)
+    for mask in range(1, 16):
+        assert _within_5_sigma(got[mask], optics.n_pulses, law.prob[mask]), mask
+    # the auto and cross pairs of the table are the closed-form expectations
+    ref = pair_source_click_expectations(src, optics)
+    masks = np.arange(16)
+    assert law.prob[masks & 0b0011 == 0b0011].sum() == pytest.approx(ref["pair_prob_auto"], rel=1e-12)
+    assert law.prob[masks & 0b0101 == 0b0101].sum() == pytest.approx(ref["pair_prob_cross"], rel=1e-12)
 
 
 def test_click_expectations_poisson_closed_form():
