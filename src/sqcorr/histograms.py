@@ -4,23 +4,32 @@ Delays are binned into an odd number of bins centered on integer multiples of
 the bin width, so the zero-delay peak and every satellite peak sit on a bin
 center: the window lower edge is lo_edge = -(nbins//2 * bin + bin//2), and a
 delay d in [lo_edge, lo_edge + nbins*bin) falls in bin (d - lo_edge) // bin.
-Anchors are processed in chunks, and triples in batches of anchors, to bound
-memory; partial histograms add, so the result is independent of either size.
-The anchors are split into at least one share per core in the process's
-affinity mask and the shares are binned in parallel (sqcorr.parallel); the
-counts do not depend on how many cores, and `taskset` limits them.
-Streams too large for memory would chunk both channels with overlap equal to
-the window; the reader here holds channels in memory, so anchor chunking alone
-is exact.
+A window holds at most MAX_CELLS bins (1D) or cells (2D); a range that is
+negative, not finite or wider than that is rejected.
+
+The kernels never list the pairs or triples. One searchsorted finds each
+anchor's first partner at or after t + lo_edge; the kernel then steps
+through partner offsets 0, 1, 2, ..., keeping at each step the anchors whose
+partner at that offset is still in the window (2D: over t1 offsets, and
+inside each over t2 offsets). Working arrays are the size of the anchors,
+and the bin indices of the steps are counted by one bincount per batch of at
+least max(cells, _BATCH_INDICES) indices. So memory is bounded by the
+anchors, the cells and the batch, whatever the number of pairs or triples.
+Anchors are processed in chunks, and split into at least one share per core
+in the process's affinity mask; the shares are binned in parallel
+(sqcorr.parallel). Partial histograms add, so the counts do not depend on
+the chunk size, the batch size or how many cores, and `taskset` limits them.
+The reader holds channels in memory, so anchor chunking alone is exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import LASER_PERIOD_PS
-from .exceptions import EmptyChannelError, InvalidParameterError
+from .exceptions import DataFormatError, EmptyChannelError, InvalidParameterError
 from .parallel import parallel_map, shares
 from .tags import TagStream, write_csv
 
@@ -30,7 +39,11 @@ BIN2D_PER_PERIOD = 26
 DEFAULT_BIN2D_PS = int(LASER_PERIOD_PS / BIN2D_PER_PERIOD)
 DEFAULT_WINDOW2D_PERIODS = 4
 _CHUNK_ANCHORS = 1 << 20
-_CHUNK_TRIPLES = 1 << 20
+_BATCH_INDICES = 1 << 16
+# bins of a 1D histogram and cells of a 2D one, and the window's extent
+MAX_CELLS = 1 << 24
+MAX_WINDOW_PS = 1 << 62
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -76,54 +89,112 @@ def _lo_edge(bin_ps: int, nbins: int) -> int:
     return -((nbins // 2) * bin_ps + bin_ps // 2)
 
 
-def _windows(anchors: np.ndarray, partners: np.ndarray, lo_edge: int, hi_excl: int):
-    """First partner index and partner count in each anchor's window [lo_edge, hi_excl)."""
-    lo = np.searchsorted(partners, anchors + lo_edge, side="left")
-    hi = np.searchsorted(partners, anchors + hi_excl, side="left")
-    return lo, hi - lo
+def _offsets(base: np.ndarray, first: np.ndarray, partners: np.ndarray, last: int,
+             *carried: np.ndarray, exact: bool = False):
+    """Step j = 0, 1, 2, ... through each anchor's partners from index first.
+
+    Anchor i's window is [base[i], base[i] + last] and partners[first[i]] is
+    its first partner at or after base[i]. At step j, yields (rel, base,
+    *carried) in anchor order, with rel = partners[first + j] - base, a fresh
+    array the caller may overwrite. An anchor whose partner j is out of the
+    window is dead: the partners are sorted, so its later partners are out
+    too. Dead anchors are dropped once they are half of those left (at once
+    if ``exact``); until then they stay in, with rel > last, which costs less
+    than dropping them at every step. Anchors are in time order, so first + j
+    never decreases along the ones left, and those that run past the last
+    partner form a suffix that is cut off without a sentinel. ``first`` is
+    advanced in place.
+    """
+    n = partners.size
+    idx = first
+    while base.size:
+        if idx[-1] >= n:
+            cut = int(np.searchsorted(idx, n))
+            idx, base = idx[:cut], base[:cut]
+            carried = tuple(c[:cut] for c in carried)
+        rel = partners.take(idx)
+        rel -= base
+        inside = rel <= last
+        alive = int(np.count_nonzero(inside))
+        if alive == 0:
+            return
+        if alive < rel.size if exact else 2 * alive < rel.size:
+            keep = np.flatnonzero(inside)
+            idx, base, rel = idx.take(keep), base.take(keep), rel.take(keep)
+            carried = tuple(c.take(keep) for c in carried)
+        yield (rel, base, *carried)
+        idx += 1
 
 
-def _expand(lo: np.ndarray, m: np.ndarray):
-    """Flatten windows [lo[i], lo[i] + m[i]) into (window i, member index) pairs."""
-    owner = np.repeat(np.arange(lo.size), m)
-    member = np.arange(owner.size) - np.repeat(np.cumsum(m) - m - lo, m)
-    return owner, member
+def _batch_size(cells: int) -> int:
+    """Bin indices collected before one bincount: at least the cell count, so
+    the bincount's O(cells) cost is spread over as many indices."""
+    return max(cells, _BATCH_INDICES)
+
+
+class _Tally:
+    """Counts per cell, from bin indices added in arrays and binned in batches."""
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self.counts = np.zeros(cells, dtype=np.int64)
+        self.flush_at = _batch_size(cells)
+        self.parts: list[np.ndarray] = []
+        self.held = 0
+
+    def add(self, k: np.ndarray) -> None:
+        self.parts.append(k)
+        self.held += k.size
+        if self.held >= self.flush_at:
+            self.flush()
+
+    def flush(self) -> np.ndarray:
+        if self.parts:
+            k = self.parts[0] if len(self.parts) == 1 else np.concatenate(self.parts)
+            self.counts += np.bincount(k, minlength=self.cells)
+            self.parts, self.held = [], 0
+        return self.counts
+
+
+def _bins(rel: np.ndarray, bin_ps: int, nbins: int) -> np.ndarray:
+    """Bin of each rel = delay - lo_edge >= 0, in place; nbins past the window."""
+    np.minimum(rel, nbins * bin_ps, out=rel)
+    rel //= bin_ps
+    return rel
 
 
 def _hist1d(ta: np.ndarray, tb: np.ndarray, bin_ps: int, nbins: int) -> np.ndarray:
     """Counts of delays tb - ta per bin, over every (anchor, partner) pair in the window."""
-    lo_edge = _lo_edge(bin_ps, nbins)
-    anchor, partner = _expand(*_windows(ta, tb, lo_edge, lo_edge + nbins * bin_ps))
-    k = (tb[partner] - ta[anchor] - lo_edge) // bin_ps
-    return np.bincount(k, minlength=nbins)
+    base = ta + _lo_edge(bin_ps, nbins)
+    # one extra bin takes the dead anchors' partners
+    tally = _Tally(nbins + 1)
+    for rel, _ in _offsets(base, np.searchsorted(tb, base), tb, nbins * bin_ps - 1):
+        tally.add(_bins(rel, bin_ps, nbins))
+    return tally.flush()[:nbins]
 
 
 def _hist2d(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, bin_ps: int,
             nbins: int) -> np.ndarray:
     """Counts of (t1 - t0, t2 - t0) per 2D bin, over every triple in the window."""
-    lo_edge = _lo_edge(bin_ps, nbins)
-    hi_excl = lo_edge + nbins * bin_ps
-    lo2, m2 = _windows(t0, t2, lo_edge, hi_excl)
+    last = nbins * bin_ps - 1
+    base = t0 + _lo_edge(bin_ps, nbins)
+    first2 = np.searchsorted(t2, base)
     # anchors with no t2 partner form no triple, so their t1 windows are never searched
-    busy = np.flatnonzero(m2)
-    if busy.size == 0:
-        return np.zeros((nbins, nbins), dtype=np.int64)
-    t0, lo2, m2 = t0[busy], lo2[busy], m2[busy]
-    lo1, m1 = _windows(t0, t1, lo_edge, hi_excl)
-    # the expanded arrays grow with the triple count, not the anchor count, so
-    # anchors go in batches of about _CHUNK_TRIPLES triples each
-    ends = np.cumsum(m1 * m2)
-    cuts = np.searchsorted(ends, np.arange(_CHUNK_TRIPLES, ends[-1], _CHUNK_TRIPLES),
-                           side="right").tolist()
-    counts = np.zeros(nbins * nbins, dtype=np.int64)
-    for s, e in zip([0, *cuts], [*cuts, t0.size]):
-        anchor, j1 = _expand(lo1[s:e], m1[s:e])
-        anchor += s
-        k1 = (t1[j1] - t0[anchor] - lo_edge) // bin_ps
-        pair, j2 = _expand(lo2[anchor], m2[anchor])
-        k2 = (t2[j2] - t0[anchor[pair]] - lo_edge) // bin_ps
-        counts += np.bincount(k1[pair] * nbins + k2, minlength=nbins * nbins)
-    return counts.reshape(nbins, nbins)
+    cut = int(np.searchsorted(first2, t2.size))
+    busy = np.flatnonzero(t2.take(first2[:cut]) - base[:cut] <= last)
+    base, first2 = base.take(busy), first2.take(busy)
+    # rows of nbins + 1 cells: the last takes the dead anchors' t2 partners
+    row_cells = nbins + 1
+    tally = _Tally(nbins * row_cells)
+    for rel1, base1, first21 in _offsets(base, np.searchsorted(t1, base), t1, last, first2,
+                                         exact=True):
+        rel1 //= bin_ps
+        rel1 *= row_cells
+        for rel2, _, row in _offsets(base1, first21.copy(), t2, last, rel1):
+            k = _bins(rel2, bin_ps, nbins)
+            k += row
+            tally.add(k)
+    return tally.flush().reshape(nbins, row_cells)[:, :nbins]
 
 
 def _check_bin(bin_width_ps: int, period_ps: float) -> None:
@@ -137,14 +208,36 @@ def _check_bin(bin_width_ps: int, period_ps: float) -> None:
         )
 
 
-def _nbins(range_ps: float, bin_width_ps: int) -> int:
-    return 2 * int(range_ps // bin_width_ps) + 1
+def _nbins(range_ps: float, bin_width_ps: int, dims: int) -> int:
+    """Bins per axis of a window of half-width range_ps, within the ceilings."""
+    if not (math.isfinite(range_ps) and range_ps >= 0):
+        raise InvalidParameterError(f"range must be finite and >= 0 ps, got {range_ps}")
+    nbins = 2 * (range_ps // bin_width_ps) + 1
+    if nbins**dims > MAX_CELLS:
+        raise InvalidParameterError(
+            f"range {range_ps} ps at {bin_width_ps} ps bins gives {nbins:.0f}^{dims} "
+            f"cells, more than the ceiling of {MAX_CELLS}"
+        )
+    nbins = int(nbins)
+    if nbins * bin_width_ps > MAX_WINDOW_PS:
+        raise InvalidParameterError(
+            f"window of {nbins} bins of {bin_width_ps} ps exceeds {MAX_WINDOW_PS} ps"
+        )
+    return nbins
 
 
-def _acquisition_s(channels) -> float:
-    lo = min(int(ch[0]) for ch in channels if ch.size)
-    hi = max(int(ch[-1]) for ch in channels if ch.size)
-    return (hi - lo) / 1e12
+def _span(channels, nbins: int, bin_ps: int) -> tuple[int, int]:
+    """(earliest, latest) stamp of the channels, checked to leave the window's
+    headroom: every anchor's window start and every delay from it fit in int64."""
+    lo = min(int(ch[0]) for ch in channels)
+    hi = max(int(ch[-1]) for ch in channels)
+    start = lo + _lo_edge(bin_ps, nbins)
+    if start < _INT64.min or hi - start > _INT64.max:
+        raise DataFormatError(
+            f"stamps from {lo} to {hi} ps leave no room for a window of "
+            f"{nbins * bin_ps} ps in int64"
+        )
+    return lo, hi
 
 
 def _get_channel(tags: TagStream, index: int) -> np.ndarray:
@@ -168,12 +261,13 @@ def coincidence_histogram_2(
     _check_bin(bin_width_ps, period_ps)
     if range_ps is None:
         range_ps = (DEFAULT_WINDOW_PERIODS + 0.5) * period_ps
+    nbins = _nbins(range_ps, bin_width_ps, 1)
     ta = _get_channel(tags, ch_a)
     tb = _get_channel(tags, ch_b)
-    nbins = _nbins(range_ps, bin_width_ps)
+    lo, hi = _span((ta, tb), nbins, bin_width_ps)
     parts = parallel_map(lambda s: _hist1d(ta[s], tb, bin_width_ps, nbins),
                          shares(ta.size, chunk_anchors))
-    return Histogram1D(bin_width_ps, sum(parts), _acquisition_s((ta, tb)))
+    return Histogram1D(bin_width_ps, sum(parts), (hi - lo) / 1e12)
 
 
 def coincidence_histogram_3(
@@ -191,13 +285,14 @@ def coincidence_histogram_3(
     _check_bin(bin_width_ps, period_ps)
     if range_ps is None:
         range_ps = (DEFAULT_WINDOW2D_PERIODS + 0.5) * period_ps
+    nbins = _nbins(range_ps, bin_width_ps, 2)
     t0 = _get_channel(tags, ch_a)
     t1 = _get_channel(tags, ch_b)
     t2 = _get_channel(tags, ch_c)
-    nbins = _nbins(range_ps, bin_width_ps)
+    lo, hi = _span((t0, t1, t2), nbins, bin_width_ps)
     parts = parallel_map(lambda s: _hist2d(t0[s], t1, t2, bin_width_ps, nbins),
                          shares(t0.size, chunk_anchors))
-    return Histogram2D(bin_width_ps, sum(parts), _acquisition_s((t0, t1, t2)))
+    return Histogram2D(bin_width_ps, sum(parts), (hi - lo) / 1e12)
 
 
 def histogram_to_csv(hist: Histogram1D, path) -> None:

@@ -18,9 +18,10 @@ else:
     _CORES = os.cpu_count() or 1
 
 
-def shares(n: int, max_size: int) -> list[slice]:
-    """Slices that cover range(n), each at most max_size long, one per core or more."""
-    size = max(1, min(max_size, -(-n // _CORES)))
+def shares(n: int, max_size: int, min_size: int = 1) -> list[slice]:
+    """Slices that cover range(n), each at most max_size long, one per core or
+    more unless that would make them shorter than min_size."""
+    size = max(1, min_size, min(max_size, -(-n // _CORES)))
     return [slice(s, s + size) for s in range(0, n, size)]
 
 

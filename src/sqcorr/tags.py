@@ -11,21 +11,23 @@ Both writers lay the records out by one merge, sorted by (timestamp, channel),
 so identical inputs give identical bytes in either format. They merge and
 write one time slice of about _SLICE_RECORDS records at a time, so a writer
 holds its input channels plus one slice. Both readers take only the channels
-a caller asks for out of the file's records, in slices of _SLICE_RECORDS
-records, and drop the file's buffer before returning: reading two channels
-of a nine-channel file holds those two channels and, while reading, the
-file's bytes. Within a channel the timestamps come back sorted, whatever the
-record order of the file.
+a caller asks for out of the records, in slices of _SLICE_RECORDS records.
+The binary reader reads the file itself slice by slice, into one reused
+buffer per core at work: reading two channels of a nine-channel file holds
+those two channels and a slice per core, whatever the file's size. The CSV
+reader parses the whole file first. Within a channel the timestamps come
+back sorted, whatever the record order of the file.
 """
 from __future__ import annotations
 
 import itertools
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from .exceptions import DataFormatError, InvalidParameterError
+from .parallel import parallel_map, shares
 
 MAGIC = b"HHGT"
 FORMAT_VERSION = 1
@@ -38,44 +40,77 @@ assert TAG_DTYPE.itemsize == 12
 
 # records the writers merge, and the reader takes channels from, per slice
 _SLICE_RECORDS = 1 << 16
+# the fewest consecutive slices a reader's core works through
+_SHARE_SLICES = 8
 
 
-def _take_channels(channel_count: int, channels: np.ndarray, timestamps: np.ndarray,
-                   keep) -> dict[int, np.ndarray]:
-    """{c: sorted int64 timestamps of channel c} for c in keep, taken out of
-    the record columns _SLICE_RECORDS records at a time.
+def _column_slices(channels: np.ndarray, timestamps: np.ndarray):
+    """slices(starts): the (channel, timestamp) columns of the in-memory
+    records from each start in starts, _SLICE_RECORDS records at a time."""
+    def slices(starts):
+        for s in starts:
+            yield channels[s : s + _SLICE_RECORDS], timestamps[s : s + _SLICE_RECORDS]
+    return slices
 
-    A first pass checks every record's channel against the declared count and
-    counts the kept channels' records, so the second pass fills arrays of the
-    final size and no channel is ever held twice.
-    """
-    n = timestamps.size
-    counts = dict.fromkeys(keep, 0)
-    for s in range(0, n, _SLICE_RECORDS):
-        ch = np.ascontiguousarray(channels[s : s + _SLICE_RECORDS])
+
+def _count_slices(slices, starts: range, channel_count: int, keep,
+                  counts: np.ndarray) -> None:
+    """counts[i, j] = the records of channel keep[j] in slice starts[i],
+    checking every record's channel against the declared count."""
+    for i, (channels, _) in enumerate(slices(starts)):
+        ch = np.ascontiguousarray(channels)
         if int(ch.min()) < 0:
             raise DataFormatError(f"negative record channel {int(ch.min())}")
         if int(ch.max()) >= channel_count:
             raise DataFormatError(
                 f"record channel {int(ch.max())} >= declared count {channel_count}"
             )
-        for c in keep:
-            counts[c] += int(np.count_nonzero(ch == c))
-    kept = {c: np.empty(size, dtype=np.int64) for c, size in counts.items()}
-    filled = dict.fromkeys(keep, 0)
+        for j, c in enumerate(keep):
+            counts[i, j] = np.count_nonzero(ch == c)
+
+
+def _fill_slices(slices, starts: range, kept: dict, ends: np.ndarray) -> None:
+    """Copy the stamps of kept channel c_j in slice starts[i] into the end of
+    kept[c_j][:ends[i, j]]."""
     # each slice's stamps are copied into one contiguous buffer: taking a
     # channel from it is faster than indexing the strided column, from one
     # channel up
-    stamps = np.empty(min(n, _SLICE_RECORDS), dtype=np.int64)
-    for s in range(0, n, _SLICE_RECORDS):
-        ch = np.ascontiguousarray(channels[s : s + _SLICE_RECORDS])
+    stamps = None
+    for (channels, timestamps), end in zip(slices(starts), ends):
+        ch = np.ascontiguousarray(channels)
+        if stamps is None:  # the first slice is the longest
+            stamps = np.empty(ch.size, dtype=np.int64)
         ts = stamps[: ch.size]
-        ts[:] = timestamps[s : s + _SLICE_RECORDS]
-        for c, out in kept.items():
+        ts[:] = timestamps
+        for (c, out), e in zip(kept.items(), end.tolist()):
             # flatnonzero + take copies about 3x faster than boolean-mask indexing
             t = ts.take(np.flatnonzero(ch == c))
-            out[filled[c] : filled[c] + t.size] = t
-            filled[c] += t.size
+            out[e - t.size : e] = t
+
+
+def _take_channels(channel_count: int, n: int, slices, keep) -> dict[int, np.ndarray]:
+    """{c: sorted int64 timestamps of channel c} for c in keep, taken out of
+    n records that ``slices(starts)`` yields as (channel, timestamp) columns,
+    _SLICE_RECORDS records from each start.
+
+    A first pass checks every record's channel against the declared count and
+    counts the kept channels' records in each slice, so the second pass fills
+    arrays of the final size and no channel is ever held twice. Each pass
+    takes runs of at least _SHARE_SLICES consecutive slices, one run per core
+    or more, and works the runs in parallel (sqcorr.parallel); every slice
+    has its own place in the output, so the result does not depend on the
+    cores.
+    """
+    starts = range(0, n, _SLICE_RECORDS)
+    runs = shares(len(starts), len(starts), _SHARE_SLICES)
+    counts = np.zeros((len(starts), len(keep)), dtype=np.int64)
+    parallel_map(lambda r: _count_slices(slices, starts[r], channel_count, keep, counts[r]),
+                 runs)
+    kept = {c: np.empty(int(size), dtype=np.int64)
+            for c, size in zip(keep, counts.sum(axis=0))}
+    # ends[i, j]: where slice i's stamps of channel keep[j] end in its array
+    ends = np.cumsum(counts, axis=0)
+    parallel_map(lambda r: _fill_slices(slices, starts[r], kept, ends[r]), runs)
     for t in kept.values():
         if t.size > 1 and bool(np.any(t[1:] < t[:-1])):
             t.sort()
@@ -96,12 +131,24 @@ class TagStream:
 
     def __init__(self, channel_count: int, channels: np.ndarray,
                  timestamps: np.ndarray, keep=None):
+        self._take(channel_count, int(timestamps.size),
+                   _column_slices(channels, timestamps), keep)
+
+    @classmethod
+    def _from_slices(cls, channel_count: int, n_records: int, slices, keep=None):
+        """The stream of n_records records that ``slices(starts)`` yields as
+        (channel, timestamp) columns, as ``_take_channels`` reads them."""
+        stream = cls.__new__(cls)
+        stream._take(channel_count, n_records, slices, keep)
+        return stream
+
+    def _take(self, channel_count: int, n_records: int, slices, keep) -> None:
         self.channel_count = channel_count
-        self.n_records = int(timestamps.size)
+        self.n_records = n_records
         keep = range(channel_count) if keep is None else sorted({int(c) for c in keep})
         for c in keep:
             self._check_declared(c)
-        self._kept = _take_channels(channel_count, channels, timestamps, keep)
+        self._kept = _take_channels(channel_count, n_records, slices, keep)
 
     def _check_declared(self, index: int) -> None:
         if not (0 <= index < self.channel_count):
@@ -183,22 +230,39 @@ def write_tags(path, by_channel, channel_count: int | None = None) -> None:
 def read_tags(path, channels=None) -> TagStream:
     """Read the channels in ``channels`` (default: all) of a binary tag file.
 
-    The file is read into one buffer, which is dropped once the channels are
-    taken out of it.
+    The records are read twice, _SLICE_RECORDS at a time into a reused
+    buffer: once to check and count them, once to fill the kept channels. So
+    the read holds the kept channels and one slice per core at work, whatever
+    the file's size.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < HEADER.size:
+    with open(path, "rb") as f:
+        head = f.read(HEADER.size)
+        body = os.fstat(f.fileno()).st_size - HEADER.size
+    if len(head) < HEADER.size:
         raise DataFormatError(f"{path}: shorter than the 16-byte header")
-    magic, version, channel_count, _ = HEADER.unpack_from(raw)
+    magic, version, channel_count, _ = HEADER.unpack(head)
     if magic != MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported format version {version}")
-    body = len(raw) - HEADER.size
     if body % TAG_DTYPE.itemsize:
         raise DataFormatError(f"{path}: truncated record ({body} bytes of body)")
-    rec = np.frombuffer(raw, dtype=TAG_DTYPE, offset=HEADER.size)
-    return TagStream(channel_count, rec["channel"], rec["timestamp_ps"], channels)
+    n = body // TAG_DTYPE.itemsize
+
+    def slices(starts):
+        # one record buffer for each run of consecutive slices
+        buffer = np.empty(min(_SLICE_RECORDS, n - starts[0]), dtype=TAG_DTYPE)
+        raw = buffer.view(np.uint8)
+        with open(path, "rb") as f:
+            f.seek(HEADER.size + starts[0] * TAG_DTYPE.itemsize)
+            for s in starts:
+                m = min(_SLICE_RECORDS, n - s)
+                if f.readinto(raw[: m * TAG_DTYPE.itemsize]) != m * TAG_DTYPE.itemsize:
+                    raise DataFormatError(f"{path}: file shrank while it was read")
+                rec = buffer[:m]
+                yield rec["channel"], rec["timestamp_ps"]
+
+    return TagStream._from_slices(channel_count, n, slices, channels)
 
 
 def _csv_rows(row: str, *columns) -> str:

@@ -185,6 +185,24 @@ def test_csi_same_beam_exits_2(runner, tmp_path):
     assert not (out / "csi.json").exists()
 
 
+@pytest.mark.parametrize("command, args, output", [
+    ("analyze-g2", [], "g2_estimate.json"),
+    ("analyze-g3", [], "g3_estimate.json"),
+    ("csi", ["--beam-j", "2"], "csi.json"),
+])
+def test_bad_range_exits_2(runner, tmp_path, command, args, output):
+    """A negative, non-finite or too wide window is a configuration error,
+    not a traceback."""
+    out = _simulate(runner, tmp_path, cfg=PAIR3_CONFIG)
+    for value in ("-500", "nan", "inf", "1e30"):
+        res = runner.invoke(main, ["--out", str(out), command, str(out / "tags.bin"),
+                                   *args, "--range-ps", value])
+        assert res.exit_code == EXIT_CONFIG, (value, res.output)
+        assert isinstance(res.exception, SystemExit), (value, res.exception)
+        assert "range" in res.output
+        assert not (out / output).exists()
+
+
 def _csi(runner, out, *args, config=None):
     (out / "csi.json").unlink(missing_ok=True)
     head = ["--config", config] if config else []

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from sqcorr import (
+    DataFormatError,
     EmptyChannelError,
     InvalidParameterError,
     LASER_PERIOD_PS,
@@ -106,8 +107,8 @@ def test_anchor_chunking_invariance(rng, monkeypatch):
     np.testing.assert_array_equal(full.counts, chunked.counts)
     full3 = coincidence_histogram_3(tags, 0, 1, 2, range_ps=300_000.0)
     assert full3.counts.sum() > 0
-    # small triple batches split anchors inside each anchor chunk as well
-    monkeypatch.setattr(histograms, "_CHUNK_TRIPLES", 1000)
+    # small bincount batches flush inside each anchor chunk as well
+    monkeypatch.setattr(histograms, "_batch_size", lambda cells: 1000)
     chunked3 = coincidence_histogram_3(tags, 0, 1, 2, range_ps=300_000.0, chunk_anchors=137)
     np.testing.assert_array_equal(full3.counts, chunked3.counts)
 
@@ -283,3 +284,95 @@ def test_anchors_without_a_third_partner_give_no_triples():
     t = np.arange(0, 10**5, 1000, dtype=np.int64)
     counts = _hist3(t, t, t + 10**7, 100, 5)
     assert counts.shape == (5, 5) and counts.sum() == 0
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _edge_case_channels(case, rng):
+    """Three sorted channels that exercise one corner of the offset stepping."""
+    if case == "equal_across":
+        # every stamp is drawn from one small pool, so channels share stamps
+        pool = np.arange(0, 3 * 10**4, 100)
+        return [np.sort(rng.choice(pool, n)) for n in (120, 150, 110)]
+    if case == "repeated":
+        # runs of up to 4 equal stamps within each channel
+        return [np.repeat(np.sort(rng.choice(10**4, n, replace=False)) * 7,
+                          rng.integers(1, 5, n)) for n in (60, 70, 50)]
+    if case == "negative":
+        return [np.sort(rng.integers(-3 * 10**4, -10**3, n)) for n in (120, 150, 110)]
+    # run_to_end: anchors go on past the partners' last stamps, so partner
+    # runs reach the end of the partner arrays
+    return [np.sort(rng.integers(lo, hi, n))
+            for lo, hi, n in ((10**4, 4 * 10**4, 150), (0, 2 * 10**4, 160),
+                              (0, 2.5 * 10**4, 120))]
+
+
+@pytest.mark.parametrize("case", ["equal_across", "repeated", "negative", "run_to_end"])
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("batch", [None, 5])
+def test_kernels_match_brute_force_on_edge_cases(monkeypatch, case, cores, batch):
+    monkeypatch.setattr("sqcorr.parallel._CORES", cores)
+    if batch is not None:
+        # a bincount batch of 5 indices flushes in the middle of every share
+        monkeypatch.setattr(histograms, "_batch_size", lambda cells: batch)
+    t0, t1, t2 = _edge_case_channels(case, np.random.default_rng(len(case)))
+    np.testing.assert_array_equal(_hist2(t0, t1, 100, 41), _brute_hist1d(t0, t1, 100, 41))
+    np.testing.assert_array_equal(_hist3(t0, t1, t2, 100, 15),
+                                  _brute_hist2d(t0, t1, t2, 100, 15))
+    assert _hist2(t0, t1, 100, 41).sum() > 0 and _hist3(t0, t1, t2, 100, 15).sum() > 0
+
+
+@pytest.mark.parametrize("at", ["max", "min"])
+def test_stamps_at_the_int64_limits(at):
+    """Stamps up to int64 max, and down to the lowest one whose window start
+    still fits in int64, are binned like any others."""
+    rng = np.random.default_rng(8)
+    lo_edge = -(20 * 100 + 50)  # 41 bins of 100 ps
+    offsets = [np.sort(rng.choice(5000, n, replace=False)) for n in (40, 50, 30)]
+    if at == "max":
+        t0, t1, t2 = (_INT64.max - 4999 + o for o in offsets)
+        t1[-1] = _INT64.max
+    else:
+        t0, t1, t2 = (_INT64.min - lo_edge + o for o in offsets)
+        t0[0] = _INT64.min - lo_edge
+    np.testing.assert_array_equal(_hist2(t0, t1, 100, 41), _brute_hist1d(t0, t1, 100, 41))
+    np.testing.assert_array_equal(_hist3(t0, t1, t2, 100, 41),
+                                  _brute_hist2d(t0, t1, t2, 100, 41))
+
+
+@pytest.mark.parametrize("stamps", [
+    [_INT64.min, _INT64.min + 10],        # window starts below int64 min
+    [_INT64.min + 10**6, _INT64.max],     # delays span more than int64 max
+])
+def test_stamps_without_window_headroom_rejected(stamps):
+    t = np.array(stamps, dtype=np.int64)
+    with pytest.raises(DataFormatError, match="no room"):
+        _hist2(t, t, 100, 41)
+    with pytest.raises(DataFormatError, match="no room"):
+        _hist3(t, t, t, 100, 41)
+
+
+@pytest.mark.parametrize("range_ps", [-500.0, -0.5, float("nan"), float("inf"),
+                                      float("-inf"), 1e30])
+def test_bad_range_rejected(range_ps):
+    t = np.arange(0, 10**5, 1000, dtype=np.int64)
+    tags = _stream(t, t, t)
+    with pytest.raises(InvalidParameterError, match="range"):
+        coincidence_histogram_2(tags, 0, 1, 100, range_ps)
+    with pytest.raises(InvalidParameterError, match="range"):
+        coincidence_histogram_3(tags, 0, 1, 2, range_ps=range_ps)
+
+
+def test_window_ceilings():
+    ceiling = histograms.MAX_CELLS
+    half = ceiling // 2  # 2 * half + 1 bins is one above the ceiling
+    assert histograms._nbins((half - 1) * 100 + 99.0, 100, 1) == ceiling - 1
+    with pytest.raises(InvalidParameterError, match="ceiling"):
+        histograms._nbins(half * 100.0, 100, 1)
+    side = int(np.sqrt(ceiling)) - 1  # the largest odd side within the ceiling
+    assert histograms._nbins(side // 2 * 100.0, 100, 2) == side
+    with pytest.raises(InvalidParameterError, match="ceiling"):
+        histograms._nbins((side // 2 + 1) * 100.0, 100, 2)
+    with pytest.raises(InvalidParameterError, match="exceeds"):
+        histograms._nbins(10**19, 10**18, 1)

@@ -5,15 +5,18 @@ allocations a call makes, measured with its inputs already built. The bounds
 are the peaks measured on the slice-by-slice writers and the channel-selecting
 reader, with headroom; the one-shot merge and whole-column reader they
 replaced peaked at 11.6 MB (write_tags), 47.5 MB (write_tags_csv), 11.4 MB
-(generate_timetags) and the file plus 9 bytes per record (read_tags).
+(generate_timetags) and the file plus 9 bytes per record (read_tags). The
+pair histogram's bound is set by its anchors, cells and bincount batch: the
+pair-expanding kernel it replaced held several arrays of 8 bytes per pair.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sqcorr import HyperParams, OpticsConfig, generate_timetags, parallel, read_tags
-from sqcorr.tags import write_tags, write_tags_csv
+from sqcorr import (HyperParams, OpticsConfig, TagStream, coincidence_histogram_2,
+                    generate_timetags, histograms, parallel, read_tags)
+from sqcorr.tags import _SLICE_RECORDS, TAG_DTYPE, write_tags, write_tags_csv
 
 MB = 2**20
 
@@ -71,3 +74,42 @@ def test_read_two_of_nine_channels_peak(tmp_path):
     # the file's bytes, the two channels and a slice of working space;
     # measured 0.74 MB above the first two
     assert _traced_peak(read) < file_mb + kept_mb + 1.0
+
+
+def test_sliced_read_peak_is_independent_of_the_file_size(tmp_path, monkeypatch):
+    # one core, so one slice is read at a time
+    monkeypatch.setattr(parallel, "_CORES", 1)
+    rng = np.random.default_rng(6)
+    channels = [np.sort(rng.integers(0, 10**11, 100_000)) for _ in range(9)]
+    path = tmp_path / "t.bin"
+    write_tags(path, channels)
+    kept_mb = (channels[2].size + channels[7].size) * 8 / MB
+    slice_mb = _SLICE_RECORDS * TAG_DTYPE.itemsize / MB
+
+    def read():
+        tags = read_tags(path, (2, 7))
+        np.testing.assert_array_equal(tags.channel(2), channels[2])
+
+    # the two channels and one slice's record buffer, stamps and indices;
+    # measured 1.5 MB above the channels, with a 10.3 MB file
+    assert path.stat().st_size / MB > kept_mb + 3 * slice_mb + 5.0
+    assert _traced_peak(read) < kept_mb + 3 * slice_mb
+
+
+def test_wide_window_pair_histogram_peak_is_set_by_anchors_not_pairs(monkeypatch):
+    monkeypatch.setattr(parallel, "_CORES", 1)
+    rng = np.random.default_rng(7)
+    n = 10_000
+    ta, tb = (np.sort(rng.integers(0, 10**9, n)) for _ in range(2))
+    tags = TagStream(2, np.repeat([0, 1], n), np.concatenate([ta, tb]))
+    hist = []
+    # +-5e7 ps windows at 1e4 ps bins: 10001 bins, about 1000 partners per anchor
+    peak = _traced_peak(lambda: hist.append(
+        coincidence_histogram_2(tags, 0, 1, 10_000, 5 * 10**7, period_ps=10**5)))
+    pairs = int(hist[0].counts.sum())
+    cells = hist[0].nbins
+    batch = histograms._batch_size(cells)
+    assert pairs > 900 * n
+    # measured 1.4 MB; 8 bytes per pair would be 74 MB
+    bound = 8 * (8 * n + 4 * cells + 2 * (batch + n)) / MB
+    assert peak < bound < pairs * 8 / MB / 20

@@ -55,6 +55,17 @@ def test_shares_cover_range(monkeypatch, cores, n, max_size):
     assert len(parts) >= min(n, cores)
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("n, min_size", [(0, 8), (7, 8), (16, 8), (33, 8), (100, 1)])
+def test_shares_no_shorter_than_min_size(monkeypatch, cores, n, min_size):
+    monkeypatch.setattr("sqcorr.parallel._CORES", cores)
+    parts = shares(n, n, min_size)
+    sizes = [len(range(n)[s]) for s in parts]
+    assert sum(sizes) == n and [i for s in parts for i in range(n)[s]] == list(range(n))
+    assert all(size >= min_size for size in sizes[:-1])
+    assert len(parts) >= min(cores, n // min_size)
+
+
 def test_each_item_runs_once_under_frequent_switches(monkeypatch):
     """More threads than cores and a tiny switch interval: no item is lost or repeated."""
     monkeypatch.setattr("sqcorr.parallel._CORES", 8)

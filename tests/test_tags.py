@@ -388,3 +388,24 @@ def test_record_channel_above_count_rejected_whatever_is_read(tmp_path, keep):
     _write_rows(tmp_path / "t.csv", [0, 1, -1, 0], [1, 2, 3, 4])
     with pytest.raises(DataFormatError, match="negative"):
         read_tags_csv(tmp_path / "t.csv", channel_count=2, channels=keep)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("share_slices", [1, 3, 8])
+def test_sliced_read_is_independent_of_cores(tmp_path, rng, monkeypatch, cores, share_slices):
+    """Runs of slices read on several cores fill each channel in record order."""
+    monkeypatch.setattr("sqcorr.parallel._CORES", cores)
+    monkeypatch.setattr(tagmod, "_SLICE_RECORDS", 7)
+    monkeypatch.setattr(tagmod, "_SHARE_SLICES", share_slices)
+    channels = rng.integers(0, 4, 500)
+    stamps = rng.integers(-10**6, 10**6, 500)  # unsorted, so every channel is sorted
+    path = tmp_path / "t.bin"
+    _write_records(path, channels, stamps, 4)
+    want = _brute_channels(channels, stamps, 4)
+    tags = read_tags(path, [0, 2, 3])
+    for c in (0, 2, 3):
+        np.testing.assert_array_equal(tags.channel(c), want[c])
+    # a bad channel in the last record is found whichever core reads it
+    _write_records(path, np.append(channels[:-1], 4), stamps, 4)
+    with pytest.raises(DataFormatError, match="declared count"):
+        read_tags(path, [0])
