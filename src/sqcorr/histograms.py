@@ -100,19 +100,18 @@ def _offsets(base: np.ndarray, first: np.ndarray, partners: np.ndarray, last: in
     window is dead: the partners are sorted, so its later partners are out
     too. Dead anchors are dropped once they are half of those left (at once
     if ``exact``); until then they stay in, with rel > last, which costs less
-    than dropping them at every step. Anchors are in time order, so first + j
-    never decreases along the ones left, and those that run past the last
-    partner form a suffix that is cut off without a sentinel. ``first`` is
-    advanced in place.
+    than dropping them at every step. Anchors are in time order, so first
+    never decreases along the ones left, and those whose partner j would lie
+    past the last partner form a suffix that is cut off without a sentinel.
     """
     n = partners.size
-    idx = first
+    j = 0
     while base.size:
-        if idx[-1] >= n:
-            cut = int(np.searchsorted(idx, n))
-            idx, base = idx[:cut], base[:cut]
+        if first[-1] + j >= n:
+            cut = int(np.searchsorted(first, n - j))
+            first, base = first[:cut], base[:cut]
             carried = tuple(c[:cut] for c in carried)
-        rel = partners.take(idx)
+        rel = partners[j:].take(first)
         rel -= base
         inside = rel <= last
         alive = int(np.count_nonzero(inside))
@@ -120,10 +119,10 @@ def _offsets(base: np.ndarray, first: np.ndarray, partners: np.ndarray, last: in
             return
         if alive < rel.size if exact else 2 * alive < rel.size:
             keep = np.flatnonzero(inside)
-            idx, base, rel = idx.take(keep), base.take(keep), rel.take(keep)
+            first, base, rel = first.take(keep), base.take(keep), rel.take(keep)
             carried = tuple(c.take(keep) for c in carried)
         yield (rel, base, *carried)
-        idx += 1
+        j += 1
 
 
 def _batch_size(cells: int) -> int:
@@ -190,7 +189,7 @@ def _hist2d(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, bin_ps: int,
                                          exact=True):
         rel1 //= bin_ps
         rel1 *= row_cells
-        for rel2, _, row in _offsets(base1, first21.copy(), t2, last, rel1):
+        for rel2, _, row in _offsets(base1, first21, t2, last, rel1):
             k = _bins(rel2, bin_ps, nbins)
             k += row
             tally.add(k)
