@@ -51,7 +51,6 @@ from .simulate import (
     click_expectations,
     generate_timetags,
     pair_source_click_expectations,
-    state_photon_pmf,
 )
 from .states import (
     HyperParams,
@@ -71,10 +70,10 @@ from .states import (
 )
 from .tags import TagStream, load_tags, read_tags, read_tags_csv, write_tags, write_tags_csv
 
-# the number-basis oracle certifies the closed forms in the tests; it is
-# imported on first use, so importing the package does not run it
+# the number-basis oracle and the FFT pmf certify the closed forms in the
+# tests; they are imported on first use, so importing the package does not run them
 _FOCK_EXPORTS = ("mode_density_matrix", "oracle_moments", "photon_number_pmf",
-                 "tensor_broadband_moments")
+                 "state_photon_pmf", "tensor_broadband_moments")
 
 
 def __getattr__(name):

@@ -12,10 +12,10 @@ rescaled.
 This oracle is the test certificate for the closed forms in the states
 module: it builds the state literally instead of assuming Gaussian pairing, so
 tests check m1, m2, m3, the broadband combination and the generating-function
-photon-number pmf against it. The runtime path does not call it, and no
-runtime module imports it. This is the one module that imports scipy, and only
-when the oracle runs. scipy is not a runtime dependency: the oracle needs the
-`test` extra (`pip install 'sqcorr[test]'`).
+photon-number pmf (state_photon_pmf, the FFT inversion kept here, which in turn
+certifies simulate's click law) against it. No runtime module imports this
+one. It alone imports scipy, and only when the oracle runs. scipy is not a
+runtime dependency: the oracle needs the `test` extra (`pip install 'sqcorr[test]'`).
 
 Normally ordered moments <a^+n a^n> come from the number diagonal with falling
 factorial weights. Truncation is adaptive: the dimension doubles until the
@@ -23,12 +23,14 @@ thermal tail deficit and the moments are stable.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import InvalidParameterError, TruncationError
-from .states import ModeParams, NormallyOrderedMoments
+from .states import (ModeParams, MultimodeState, NormallyOrderedMoments, _central_moments,
+                     _mode_arrays, _state_moments, photon_log_pgf)
 
 # squeezing magnitudes below this are treated as zero (indistinguishable from
 # rounding noise in the generator entries, and r=0 skips a propagator entirely)
@@ -44,6 +46,12 @@ _THERMAL_COLUMN_CUTOFF = 1e-22
 # photon_number_pmf doubles its dimension up to this; a diagonal not yet
 # stable there raises TruncationError
 PMF_DIM_CEILING = 1 << 14
+
+# photon-number pmfs drop a tail of at most this mass
+PMF_TAIL = 1e-15
+# state_photon_pmf doubles its FFT length up to this; a tail bound not yet
+# below PMF_TAIL there raises TruncationError
+PMF_FFT_CEILING = 1 << 20
 
 
 def thermal_pmf(n_th: float, dim: int) -> np.ndarray:
@@ -257,3 +265,48 @@ def tensor_broadband_moments(modes, dim: int) -> tuple[float, float, float]:
     f2 = float(np.dot(n_tot * (n_tot - 1.0), p))
     f3 = float(np.dot(n_tot * (n_tot - 1.0) * (n_tot - 2.0), p))
     return s1, f2 / s1**2, f3 / s1**3
+
+
+def photon_pgf_radius(state: MultimodeState) -> float:
+    """Radius of convergence 1 + 1/max(l+) of E[z^n] (inf if every l+ is 0)."""
+    r, _, _, n_th = _mode_arrays(state)
+    n, m_abs = _central_moments(r, n_th)
+    lp = float(np.max(n + m_abs))
+    return math.inf if lp == 0.0 else 1.0 + 1.0 / lp
+
+
+def state_photon_pmf(state: MultimodeState) -> np.ndarray:
+    """Exact pmf of the per-pulse total photon number, up to a PMF_TAIL tail.
+
+    The product of the per-mode Gaussian generating functions is sampled at L
+    roots of unity and inverted by FFT. The inversion folds the mass above L
+    onto 0..L-1, so L starts from the mean and variance and doubles until the
+    Chernoff bound on P(n >= L) is below PMF_TAIL; the closed form is exact
+    inside the radius of convergence, where the bound is taken. Raises
+    TruncationError if that needs more than PMF_FFT_CEILING points.
+    """
+    m1, m2, _ = _state_moments(state)
+    mean, var = m1.sum(), (m2 + m1 - m1 * m1).sum()
+    radius = photon_pgf_radius(state)
+    if math.isinf(radius):
+        x = 1.0 + 2.0 ** np.arange(-20.0, 60.0)
+    else:
+        t = np.concatenate((2.0 ** -np.arange(1.0, 40.0), 1.0 - 2.0 ** -np.arange(2.0, 40.0)))
+        x = 1.0 + (radius - 1.0) * t
+    log_pgf_x = photon_log_pgf(state, 1.0 - x)
+    length = 64
+    while length < mean + 16.0 * math.sqrt(var) + 16.0:
+        length *= 2
+    # Chernoff: P(n >= L) <= G(x) x^-L for every x > 1 inside the radius
+    while np.min(log_pgf_x - length * np.log(x)) > math.log(PMF_TAIL):
+        if length >= PMF_FFT_CEILING:
+            raise TruncationError(
+                f"photon-number tail not below {PMF_TAIL} within {PMF_FFT_CEILING} points"
+            )
+        length *= 2
+    z = np.exp(2j * np.pi * np.arange(length) / length)
+    p = np.fft.fft(np.exp(photon_log_pgf(state, 1.0 - z))).real / length
+    p = np.maximum(p, 0.0)  # rounding noise around the zeros of the far tail
+    tail = np.cumsum(p[::-1])[::-1]  # tail[n] = mass at n and above
+    p = p[: max(int(np.count_nonzero(tail > PMF_TAIL)), 1)]
+    return p / p.sum()

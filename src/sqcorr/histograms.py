@@ -196,7 +196,9 @@ def _hist2d(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, bin_ps: int,
     return tally.flush().reshape(nbins, row_cells)[:, :nbins]
 
 
-def _check_bin(bin_width_ps: int, period_ps: float) -> None:
+def _check_args(channels, bin_width_ps: int, period_ps: float) -> None:
+    if len(set(channels)) < len(channels):
+        raise InvalidParameterError(f"channels {channels} repeat: a tag would pair with itself")
     if bin_width_ps < 1:
         raise InvalidParameterError(f"bin width must be >= 1 ps, got {bin_width_ps}")
     ratio = period_ps / bin_width_ps
@@ -254,10 +256,9 @@ def coincidence_histogram_2(
     range_ps: float | None = None,
     *,
     period_ps: float = LASER_PERIOD_PS,
-    chunk_anchors: int = _CHUNK_ANCHORS,
 ) -> Histogram1D:
     """Histogram of delays t_b - t_a within +-range_ps (default 25.5 periods)."""
-    _check_bin(bin_width_ps, period_ps)
+    _check_args((ch_a, ch_b), bin_width_ps, period_ps)
     if range_ps is None:
         range_ps = (DEFAULT_WINDOW_PERIODS + 0.5) * period_ps
     nbins = _nbins(range_ps, bin_width_ps, 1)
@@ -265,7 +266,7 @@ def coincidence_histogram_2(
     tb = _get_channel(tags, ch_b)
     lo, hi = _span((ta, tb), nbins, bin_width_ps)
     parts = parallel_map(lambda s: _hist1d(ta[s], tb, bin_width_ps, nbins),
-                         shares(ta.size, chunk_anchors))
+                         shares(ta.size, _CHUNK_ANCHORS))
     return Histogram1D(bin_width_ps, sum(parts), (hi - lo) / 1e12)
 
 
@@ -278,10 +279,9 @@ def coincidence_histogram_3(
     range_ps: float | None = None,
     *,
     period_ps: float = LASER_PERIOD_PS,
-    chunk_anchors: int = _CHUNK_ANCHORS,
 ) -> Histogram2D:
     """2D histogram of (t_b - t_a, t_c - t_a) within +-range_ps (default 4.5 periods)."""
-    _check_bin(bin_width_ps, period_ps)
+    _check_args((ch_a, ch_b, ch_c), bin_width_ps, period_ps)
     if range_ps is None:
         range_ps = (DEFAULT_WINDOW2D_PERIODS + 0.5) * period_ps
     nbins = _nbins(range_ps, bin_width_ps, 2)
@@ -290,7 +290,7 @@ def coincidence_histogram_3(
     t2 = _get_channel(tags, ch_c)
     lo, hi = _span((t0, t1, t2), nbins, bin_width_ps)
     parts = parallel_map(lambda s: _hist2d(t0[s], t1, t2, bin_width_ps, nbins),
-                         shares(t0.size, chunk_anchors))
+                         shares(t0.size, _CHUNK_ANCHORS))
     return Histogram2D(bin_width_ps, sum(parts), (hi - lo) / 1e12)
 
 

@@ -26,8 +26,8 @@ on every core in the process's affinity mask (sqcorr.parallel); the files do
 not depend on how many, and `taskset` limits them.
 
 Binary detectors bias click-based correlation estimates at O(click
-probability); click_expectations provides the exact analytic click-level
-values so tests can separate detector physics from estimator errors.
+probability). click_expectations and pair_source_click_expectations read the
+exact values off the sampled table, to tell detector physics from estimator error.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
@@ -46,21 +47,13 @@ from .states import (
     MultimodeState,
     broadband_moments,
     expand_hyperparams,
-    per_mode_moments,
     photon_log_pgf,
-    photon_pgf_radius,
 )
 from .tags import write_tags, write_tags_csv
 
 _BLOCK_PULSES = 1 << 20
 # click_patterns tabulates all 2^C channel sets: 65,536 at this cap
 MAX_CHANNELS = 16
-
-# photon-number pmfs drop a tail of at most this mass
-PMF_TAIL = 1e-15
-# state_photon_pmf doubles its FFT length up to this; a tail bound not yet
-# below PMF_TAIL there raises TruncationError
-PMF_FFT_CEILING = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -117,47 +110,19 @@ class PairSourceConfig:
             raise InvalidParameterError("pair source needs an integer of at least 2 beams")
 
 
-def state_photon_pmf(state: MultimodeState) -> np.ndarray:
-    """Exact pmf of the per-pulse total photon number, up to a PMF_TAIL tail.
-
-    The product of the per-mode Gaussian generating functions is sampled at L
-    roots of unity and inverted by FFT. The inversion folds the mass above L
-    onto 0..L-1, so L starts from the mean and variance and doubles until the
-    Chernoff bound on P(n >= L) is below PMF_TAIL; the closed form is exact
-    inside the radius of convergence, where the bound is taken. Raises
-    TruncationError if that needs more than PMF_FFT_CEILING points.
-    """
-    moments = per_mode_moments(state)
-    mean = sum(m.m1 for m in moments)
-    var = sum(m.m2 + m.m1 - m.m1 * m.m1 for m in moments)
-    radius = photon_pgf_radius(state)
-    if math.isinf(radius):
-        x = 1.0 + 2.0 ** np.arange(-20.0, 60.0)
-    else:
-        t = np.concatenate((2.0 ** -np.arange(1.0, 40.0), 1.0 - 2.0 ** -np.arange(2.0, 40.0)))
-        x = 1.0 + (radius - 1.0) * t
-    log_pgf_x = photon_log_pgf(state, 1.0 - x)
-    length = 64
-    while length < mean + 16.0 * math.sqrt(var) + 16.0:
-        length *= 2
-    # Chernoff: P(n >= L) <= G(x) x^-L for every x > 1 inside the radius
-    while np.min(log_pgf_x - length * np.log(x)) > math.log(PMF_TAIL):
-        if length >= PMF_FFT_CEILING:
-            raise TruncationError(
-                f"photon-number tail not below {PMF_TAIL} within {PMF_FFT_CEILING} points"
-            )
-        length *= 2
-    z = np.exp(2j * np.pi * np.arange(length) / length)
-    p = np.fft.fft(np.exp(photon_log_pgf(state, 1.0 - z))).real / length
-    p = np.maximum(p, 0.0)  # rounding noise around the zeros of the far tail
-    tail = np.cumsum(p[::-1])[::-1]  # tail[n] = mass at n and above
-    p = p[: max(int(np.count_nonzero(tail > PMF_TAIL)), 1)]
-    return p / p.sum()
-
-
 def _pair_clicked(n_bar: float, s):
     """1 - E[(1-s)^n] = n_bar s / (1 + n_bar s) for geometric n of mean n_bar."""
     return n_bar * s / (1.0 + n_bar * s)
+
+
+def _pmf_clicked(pmf, s):
+    """1 - E[(1-s)^n] of a photon-number pmf, as sum_{n>=1} pmf[n] (-expm1(n log1p(-s))).
+
+    Each term keeps its relative precision at small s, and starting at n = 1
+    makes s = 1, where log1p gives -inf, a sure click instead of nan.
+    """
+    with np.errstate(divide="ignore"):
+        return -np.expm1(np.multiply.outer(np.log1p(-s), np.arange(1, len(pmf)))) @ pmf[1:]
 
 
 def _as_state(source) -> MultimodeState:
@@ -184,6 +149,11 @@ class ClickPatterns:
     @property
     def n_channels(self) -> int:
         return self.prob.size.bit_length() - 1
+
+    def all_click(self, channels) -> float:
+        """P(every channel in channels clicks): prob summed over the patterns holding them."""
+        mask = sum(1 << c for c in set(channels))
+        return float(self.prob[(np.arange(self.prob.size) & mask) == mask].sum())
 
 
 def click_patterns(clicked, n_beams: int, optics: OpticsConfig) -> ClickPatterns:
@@ -223,6 +193,15 @@ def click_patterns(clicked, n_beams: int, optics: OpticsConfig) -> ClickPatterns
     if cdf[-1] > 0.0:
         cdf /= cdf[-1]
     return ClickPatterns(p_click, prob, cdf)
+
+
+def _click_law(source, optics: OpticsConfig) -> ClickPatterns:
+    """The click-pattern law that generate_timetags samples for source behind optics."""
+    if isinstance(source, PairSourceConfig):
+        source.validate()
+        return click_patterns(partial(_pair_clicked, source.n_bar), source.n_beams, optics)
+    state = _as_state(source)
+    return click_patterns(lambda s: -np.expm1(photon_log_pgf(state, s)), 1, optics)
 
 
 def _clicking_pulses(p_click: float, n_pulses: int, rng: np.random.Generator) -> np.ndarray:
@@ -307,13 +286,8 @@ def generate_timetags(
     parameters, analytic targets, measured click rates).
     """
     optics.validate()
-    pair = isinstance(source, PairSourceConfig)
-    if pair:
-        source.validate()
-        law = click_patterns(lambda s: _pair_clicked(source.n_bar, s), source.n_beams, optics)
-    else:
-        state = _as_state(source)
-        law = click_patterns(lambda s: -np.expm1(photon_log_pgf(state, s)), 1, optics)
+    source = source if isinstance(source, PairSourceConfig) else _as_state(source)
+    law = _click_law(source, optics)
     n_channels = law.n_channels
 
     n_blocks = -(-optics.n_pulses // _BLOCK_PULSES)
@@ -346,7 +320,7 @@ def generate_timetags(
             c / optics.n_pulses if optics.n_pulses else 0.0 for c in clicks_total
         ],
     }
-    if pair:
+    if isinstance(source, PairSourceConfig):
         sidecar["source"] = {"kind": "pair", **asdict(source)}
         sidecar["truth"] = {
             "g2_auto": 2.0,
@@ -354,10 +328,10 @@ def generate_timetags(
             "csi_r": (2.0 + 1.0 / source.n_bar) ** 2 / 4.0,
         }
     else:
-        s1, g2, g3 = broadband_moments(state)
+        s1, g2, g3 = broadband_moments(source)
         sidecar["source"] = {
             "kind": "state",
-            "n_modes": len(state.modes),
+            "n_modes": len(source.modes),
         }
         sidecar["truth"] = {"mean_photon": s1, "g2": g2, "g3": g3}
     if sidecar_path is not None:
@@ -369,60 +343,41 @@ def generate_timetags(
 # ---------------------------------------------------------------------------
 # analytic click-level expectations (binary detectors)
 
-def _gen_fn(pmf: np.ndarray, x: float) -> float:
-    """E[(1-x)^n] for the pmf; click probability of an arm is 1 - E[(1-q)^n]."""
-    n = np.arange(pmf.size)
-    return float(np.dot(pmf, (1.0 - x) ** n))
-
-
 def click_expectations(pmf: np.ndarray, arm_probs) -> dict:
     """Exact click statistics for one beam split across arms.
 
     arm_probs are the per-arm photon detection probabilities (eta times the
-    splitter ratio). Joint no-click probabilities follow from the generating
-    function E[(1-x)^n] with x the summed arm probabilities; pair and triple
-    click probabilities come out by inclusion-exclusion over the first two
-    (three) arms.
+    splitter ratio). The beam's click-pattern table is built from the pmf the
+    way simulate builds it from a source, and the singles, the pair of arms 0
+    and 1 and the triple of arms 0-2 are read off it.
     """
-    q = list(arm_probs)
-    singles = [1.0 - _gen_fn(pmf, qi) for qi in q]
+    q = np.asarray(arm_probs, dtype=float)
+    optics = OpticsConfig(q.sum(), 0, tuple(q / q.sum()))  # eta f_a = q_a; eta is at most 1
+    law = click_patterns(partial(_pmf_clicked, pmf), 1, optics)
+    singles = [law.all_click((c,)) for c in range(len(q))]
     out = {"singles": singles}
-    if len(q) >= 2:
-        f_a, f_b = _gen_fn(pmf, q[0]), _gen_fn(pmf, q[1])
-        f_ab = _gen_fn(pmf, q[0] + q[1])
-        pair = 1.0 - f_a - f_b + f_ab
-        out["pair"] = pair
-        out["g2_click"] = pair / (singles[0] * singles[1])
-    if len(q) >= 3:
-        f_c = _gen_fn(pmf, q[2])
-        f_ac = _gen_fn(pmf, q[0] + q[2])
-        f_bc = _gen_fn(pmf, q[1] + q[2])
-        f_abc = _gen_fn(pmf, q[0] + q[1] + q[2])
-        f_ab = _gen_fn(pmf, q[0] + q[1])
-        triple = 1.0 - (f_a + f_b + f_c) + (f_ab + f_ac + f_bc) - f_abc
-        out["triple"] = triple
-        out["g3_click"] = triple / (singles[0] * singles[1] * singles[2])
+    for k, name, g in ((2, "pair", "g2_click"), (3, "triple", "g3_click")):
+        if len(q) >= k:
+            out[name] = law.all_click(range(k))
+            out[g] = out[name] / math.prod(singles[:k])
     return out
 
 
 def pair_source_click_expectations(cfg: PairSourceConfig, optics: OpticsConfig) -> dict:
     """Exact click-level auto/cross g2 and R for the correlated-beam source.
 
-    Same-beam detectors share a multinomial split (a photon avoids both arms
-    with probability 1 - q1 - q2); detectors on different beams thin the same
-    n independently (joint no-click factor (1-q)(1-q') per photon). Each
-    no-click probability is the geometric closed form 1/(1 + n_bar s).
+    Read off the table that generate_timetags samples: the auto pair is arms 0
+    and 1 of beam 0, the cross pair arm 0 of beams 0 and 1 (channels 0 and
+    n_arms). Raises InvalidParameterError for one arm per beam, which has no
+    auto pair.
     """
-    cfg.validate()
     optics.validate()
-    q1 = optics.eta * optics.splitter[0]
-    q2 = optics.eta * optics.splitter[1] if optics.n_arms > 1 else q1
-    s1 = _pair_clicked(cfg.n_bar, q1)
-    s2 = _pair_clicked(cfg.n_bar, q2)
-    auto = s1 + s2 - _pair_clicked(cfg.n_bar, q1 + q2)
-    g2_auto = auto / (s1 * s2)
-    cross = 2.0 * s1 - _pair_clicked(cfg.n_bar, q1 * (2.0 - q1))
-    g2_cross = cross / (s1 * s1)
+    if optics.n_arms < 2:
+        raise InvalidParameterError("auto pairs need at least 2 arms per beam")
+    law = _click_law(cfg, optics)
+    s0, s1, s_cross = (law.all_click((c,)) for c in (0, 1, optics.n_arms))
+    auto, cross = law.all_click((0, 1)), law.all_click((0, optics.n_arms))
+    g2_auto, g2_cross = auto / (s0 * s1), cross / (s0 * s_cross)
     return {
         "g2_auto": g2_auto,
         "g2_cross": g2_cross,

@@ -14,10 +14,10 @@ expansion of a = alpha + b around the central moments of b,
 
 evaluated elementwise over arrays of modes (mode_moments). The photon-number
 generating function E[z^n] (photon_log_pgf) is a closed form in the same N, M
-and alpha; the simulate module inverts it into the photon-number pmf. The phase
+and alpha; the simulate module builds its click law from it. The phase
 convention phi(theta) was calibrated once against the number-basis oracle in
 the fock module at a complex displacement and is frozen by a regression test;
-that oracle certifies the closed forms in the tests and is not called here.
+that oracle and fock's FFT pmf are the tests' certificates, not called here.
 """
 from __future__ import annotations
 
@@ -182,14 +182,6 @@ def photon_log_pgf(state: MultimodeState, s) -> np.ndarray:
         xp, xm = s * lp, s * lm  # log1p keeps the relative precision of small s
         out += -s * (a * a / (1.0 + xp) + b * b / (1.0 + xm)) - 0.5 * (np.log1p(xp) + np.log1p(xm))
     return out
-
-
-def photon_pgf_radius(state: MultimodeState) -> float:
-    """Radius of convergence 1 + 1/max(l+) of E[z^n] (inf if every l+ is 0)."""
-    r, _, _, n_th = _mode_arrays(state)
-    n, m_abs = _central_moments(r, n_th)
-    lp = float(np.max(n + m_abs))
-    return math.inf if lp == 0.0 else 1.0 + 1.0 / lp
 
 
 def _state_moments(state: MultimodeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -489,6 +489,20 @@ def test_channel_outside_the_file_exits_3(runner, tmp_path, args):
     assert "outside declared set" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze-g2", "--channel-a", "0", "--channel-b", "0"],
+    ["analyze-g3", "--channel-a", "0", "--channel-b", "0", "--channel-c", "1"],
+])
+def test_repeated_channel_exits_2(runner, tmp_path, args):
+    """A channel paired with itself is refused, not binned tag against tag."""
+    out = _simulate(runner, tmp_path)
+    command, *options = args
+    res = runner.invoke(main, ["--out", str(out), command, str(out / "tags.bin"), *options])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "repeat" in res.output
+    assert not any(out.glob("g*_estimate.json"))
+
+
 # README, "Exit codes": 2 configuration error, 3 data error, 4 convergence or
 # truncation failure
 _README_EXIT_CODES = {

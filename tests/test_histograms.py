@@ -103,14 +103,24 @@ def test_anchor_chunking_invariance(rng, monkeypatch):
                   for n in (3000, 3000, 2000))
     tags = _stream(ta, tb, tc)
     full = coincidence_histogram_2(tags, 0, 1, 100, 300_000.0)
-    chunked = coincidence_histogram_2(tags, 0, 1, 100, 300_000.0, chunk_anchors=137)
-    np.testing.assert_array_equal(full.counts, chunked.counts)
     full3 = coincidence_histogram_3(tags, 0, 1, 2, range_ps=300_000.0)
     assert full3.counts.sum() > 0
+    monkeypatch.setattr(histograms, "_CHUNK_ANCHORS", 137)
+    chunked = coincidence_histogram_2(tags, 0, 1, 100, 300_000.0)
+    np.testing.assert_array_equal(full.counts, chunked.counts)
     # small bincount batches flush inside each anchor chunk as well
     monkeypatch.setattr(histograms, "_batch_size", lambda cells: 1000)
-    chunked3 = coincidence_histogram_3(tags, 0, 1, 2, range_ps=300_000.0, chunk_anchors=137)
+    chunked3 = coincidence_histogram_3(tags, 0, 1, 2, range_ps=300_000.0)
     np.testing.assert_array_equal(full3.counts, chunked3.counts)
+
+
+@pytest.mark.parametrize("channels", [(0, 0), (1, 1, 2), (0, 2, 2), (2, 1, 2)])
+def test_repeated_channel_rejected(channels):
+    """A channel binned against itself would pair each tag with itself."""
+    t = np.arange(0, 10**6, 1000, dtype=np.int64)
+    hist = coincidence_histogram_2 if len(channels) == 2 else coincidence_histogram_3
+    with pytest.raises(InvalidParameterError, match="repeat"):
+        hist(_stream(t, t, t), *channels)
 
 
 def test_identical_streams_fill_central_bin():
@@ -245,11 +255,12 @@ def test_histograms_independent_of_core_count(rng, monkeypatch, chunk):
     ta, tb, tc = (np.sort(rng.integers(0, 10**8, n)).astype(np.int64)
                   for n in (3000, 3000, 2000))
     tags = _stream(ta, tb, tc)
+    monkeypatch.setattr(histograms, "_CHUNK_ANCHORS", chunk)
     results = []
     for cores in (1, 2, 3):
         monkeypatch.setattr("sqcorr.parallel._CORES", cores)
-        h1 = coincidence_histogram_2(tags, 0, 1, 100, 300_000.0, chunk_anchors=chunk)
-        h2 = coincidence_histogram_3(tags, 0, 1, 2, range_ps=300_000.0, chunk_anchors=chunk)
+        h1 = coincidence_histogram_2(tags, 0, 1, 100, 300_000.0)
+        h2 = coincidence_histogram_3(tags, 0, 1, 2, range_ps=300_000.0)
         results.append((h1.counts, h2.counts))
     assert results[0][0].sum() > 0 and results[0][1].sum() > 0
     for counts1, counts2 in results[1:]:
@@ -276,8 +287,9 @@ def test_error_in_one_share_reaches_caller(rng, monkeypatch):
 
     monkeypatch.setattr("sqcorr.parallel._CORES", 2)
     monkeypatch.setattr(histograms, "_hist1d", failing)
+    monkeypatch.setattr(histograms, "_CHUNK_ANCHORS", 137)
     with pytest.raises(MemoryError, match="share 3"):
-        coincidence_histogram_2(_stream(ta, tb), 0, 1, 100, 300_000.0, chunk_anchors=137)
+        coincidence_histogram_2(_stream(ta, tb), 0, 1, 100, 300_000.0)
 
 
 def test_anchors_without_a_third_partner_give_no_triples():

@@ -4,9 +4,13 @@ Each check runs in a fresh interpreter whose import system refuses scipy, since
 this test process may already have imported it. A command that reaches for
 scipy fails there instead of loading it.
 """
+import ast
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +137,45 @@ def test_import_does_not_run_fock(module):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _catches_import_error(node: ast.Try) -> bool:
+    types = [t for h in node.handlers if h.type is not None
+             for t in (h.type.elts if isinstance(h.type, ast.Tuple) else [h.type])]
+    return any(isinstance(t, ast.Name) and t.id in ("ImportError", "ModuleNotFoundError")
+               for t in types)
+
+
+def _sqcorr_imports(path: Path):
+    """(module, name, guarded) for every `from sqcorr... import name` in a file;
+    guarded if the import sits in a try whose handlers catch ImportError."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    guarded = {id(n) for t in ast.walk(tree) if isinstance(t, ast.Try) and _catches_import_error(t)
+               for stmt in t.body for n in ast.walk(stmt)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "sqcorr":
+            for alias in node.names:
+                yield node.module, alias.name, id(node) in guarded
+
+
+def test_benchmark_imports_resolve():
+    """Every name the benchmark's scripts and tests import from sqcorr exists.
+
+    A guarded import may probe for a module that is gone, and the benchmark
+    falls back; a name taken from a module that exists must be there.
+    """
+    files, missing = set(), []
+    for path in sorted(_PERFBENCH.glob("*.py")):
+        for module, name, guarded in _sqcorr_imports(path):
+            files.add(path.name)
+            if importlib.util.find_spec(module) is None:
+                if not guarded:
+                    missing.append(f"{path.name}: module {module}")
+            elif not (hasattr(importlib.import_module(module), name)
+                      or importlib.util.find_spec(f"{module}.{name}") is not None):
+                missing.append(f"{path.name}: from {module} import {name}")
+    assert {"test_reference.py", "tracing.py", "workloads.py", "zscores.py"} <= files
+    assert not missing, missing

@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,12 +31,13 @@ from sqcorr import simulate
 from sqcorr.fock import photon_number_pmf, thermal_pmf
 from sqcorr.simulate import (
     _BLOCK_PULSES,
+    _click_law,
     _pair_clicked,
+    _pmf_clicked,
     _suppress_dead_time,
     click_patterns,
     sample_clicks,
 )
-from sqcorr.states import photon_log_pgf
 
 
 def test_state_pmf_single_thermal_is_geometric():
@@ -104,16 +106,9 @@ def test_state_pmf_h4_matches_fock_oracle(h4):
 def test_state_pmf_raises_at_fft_ceiling(monkeypatch):
     state = MultimodeState((ModeParams(n_th=40.0),))
     assert state_photon_pmf(state).sum() == pytest.approx(1.0)
-    monkeypatch.setattr("sqcorr.simulate.PMF_FFT_CEILING", 128)
+    monkeypatch.setattr("sqcorr.fock.PMF_FFT_CEILING", 128)
     with pytest.raises(TruncationError):
         state_photon_pmf(state)
-
-
-def _pmf_clicked(pmf):
-    """clicked(s) = 1 - E[(1-s)^n] of a photon-number pmf, summed term by term."""
-    pmf = np.asarray(pmf, dtype=float)
-    n = np.arange(pmf.size)[:, None]
-    return lambda s: pmf @ (1.0 - (1.0 - np.asarray(s)[None, :]) ** n)
 
 
 def _brute_force_patterns(pmf, n_beams, splitter, eta):
@@ -143,7 +138,7 @@ def _brute_force_patterns(pmf, n_beams, splitter, eta):
 ], ids=["1x3", "2x2", "3x1", "3x3-dim", "2x3-lossless-empty-arm", "1x4-three-photons"])
 def test_pattern_table_matches_brute_force(pmf, n_beams, splitter, eta):
     optics = OpticsConfig(eta=eta, n_pulses=1, splitter=splitter)
-    law = click_patterns(_pmf_clicked(pmf), n_beams, optics)
+    law = click_patterns(partial(_pmf_clicked, pmf), n_beams, optics)
     want = _brute_force_patterns(pmf, n_beams, splitter, eta)
     assert law.n_channels == n_beams * len(splitter)
     assert law.p_click == pytest.approx(1.0 - want[0], rel=1e-12)
@@ -151,20 +146,25 @@ def test_pattern_table_matches_brute_force(pmf, n_beams, splitter, eta):
     np.testing.assert_allclose(law.prob[1:], want[1:], rtol=0, atol=1e-12 * law.p_click)
     np.testing.assert_allclose(law.cdf, np.cumsum(law.prob) / law.prob.sum(), rtol=1e-14)
     assert law.cdf[-1] == 1.0
+    # every channel set's all-click probability, summed over the brute-force patterns
+    patterns = np.arange(want.size)
+    for mask in range(1, want.size):
+        channels = [c for c in range(law.n_channels) if mask >> c & 1]
+        held = want[(patterns & mask) == mask].sum()
+        assert law.all_click(channels) == pytest.approx(held, rel=0, abs=1e-12 * law.p_click)
 
 
 def test_pattern_table_matches_click_expectations_h4(h4):
     state = expand_hyperparams(h4)
     q = 0.045 / 3.0
     optics = OpticsConfig(eta=0.045, n_pulses=1, splitter=(1 / 3, 1 / 3, 1 / 3))
-    law = click_patterns(lambda s: -np.expm1(photon_log_pgf(state, s)), 1, optics)
+    law = _click_law(state, optics)
     exp = click_expectations(state_photon_pmf(state), [q, q, q])
     tol = 1e-12 * law.p_click
-    masks = np.arange(8)
     for c, single in enumerate(exp["singles"]):
-        assert abs(law.prob[masks & (1 << c) > 0].sum() - single) < tol
-    assert abs(law.prob[3] + law.prob[7] - exp["pair"]) < tol
-    assert abs(law.prob[7] - exp["triple"]) < tol
+        assert abs(law.all_click([c]) - single) < tol
+    assert abs(law.all_click([0, 1]) - exp["pair"]) < tol
+    assert abs(law.all_click([0, 1, 2]) - exp["triple"]) < tol
 
 
 def test_pattern_table_lossless_zero_arm_and_vacuum():
@@ -172,20 +172,20 @@ def test_pattern_table_lossless_zero_arm_and_vacuum():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lossless = OpticsConfig(eta=1.0, n_pulses=1, splitter=(1.0, 0.0))
-        law = click_patterns(_pmf_clicked([0.0, 1.0]), 1, lossless)
+        law = click_patterns(partial(_pmf_clicked, [0.0, 1.0]), 1, lossless)
         assert law.p_click == 1.0
         np.testing.assert_array_equal(law.prob, [0.0, 1.0, 0.0, 0.0])
-        pair = click_patterns(lambda s: _pair_clicked(0.7, s), 2, lossless)
+        pair = _click_law(PairSourceConfig(n_bar=0.7), lossless)
         assert pair.p_click == pytest.approx(0.7 / 1.7, rel=1e-15)
         # only arm 0 of each beam can click, and both beams hold the same n
         assert pair.prob[0b0101] == pytest.approx(pair.p_click, rel=1e-15)
         assert np.count_nonzero(pair.prob) == 1
         state = MultimodeState((ModeParams(r=0.4, alpha=0.3, n_th=0.1),))
-        law = click_patterns(lambda s: -np.expm1(photon_log_pgf(state, s)), 1, lossless)
+        law = _click_law(state, lossless)
         assert law.prob[2] == 0.0 and law.prob[3] == 0.0
         vacuum = MultimodeState((ModeParams(),))
         optics = OpticsConfig(eta=1.0, n_pulses=5000, splitter=(0.5, 0.5))
-        law = click_patterns(lambda s: -np.expm1(photon_log_pgf(vacuum, s)), 1, optics)
+        law = _click_law(vacuum, optics)
         assert law.p_click == 0.0 and not law.prob.any()
         times = sample_clicks(law, optics, np.random.default_rng(3), optics.n_pulses)
     assert [t.size for t in times] == [0, 0]
@@ -194,7 +194,7 @@ def test_pattern_table_lossless_zero_arm_and_vacuum():
 def test_pattern_table_clamps_rounding_and_raises_beyond_it():
     """Both arms of a one-photon pulse never click; 2 eps of noise in D is clamped."""
     optics = OpticsConfig(eta=1.0, n_pulses=1, splitter=(0.5, 0.5))
-    one = _pmf_clicked([0.4, 0.6])
+    one = partial(_pmf_clicked, [0.4, 0.6])
     eps = np.finfo(float).eps
     law = click_patterns(lambda s: one(s) * (1.0 + 2.0 * eps * (s == 1.0)), 1, optics)
     assert law.prob[3] == 0.0  # -1.2 eps before the clamp
@@ -211,7 +211,7 @@ def _clicking(times, period_ps):
 
 def test_sample_clicks_lossless_single_arm(rng):
     cfg = OpticsConfig(eta=1.0, n_pulses=20_000, splitter=(1.0,), jitter_sigma_ps=0.0)
-    law = click_patterns(_pmf_clicked([0.6, 0.1, 0.3]), 1, cfg)
+    law = click_patterns(partial(_pmf_clicked, [0.6, 0.1, 0.3]), 1, cfg)
     times = sample_clicks(law, cfg, rng, cfg.n_pulses)
     pulses = _clicking(times, cfg.period_ps)
     assert pulses.size == times[0].size
@@ -224,7 +224,8 @@ def test_sample_clicks_lossless_single_arm(rng):
 
 def test_sample_clicks_single_photon_clicks_one_arm(rng):
     cfg = OpticsConfig(eta=1.0, n_pulses=5000, jitter_sigma_ps=0.0)
-    times = sample_clicks(click_patterns(_pmf_clicked([0.0, 1.0]), 1, cfg), cfg, rng, 5000)
+    times = sample_clicks(click_patterns(partial(_pmf_clicked, [0.0, 1.0]), 1, cfg), cfg, rng,
+                          5000)
     both = np.concatenate(times)
     np.testing.assert_array_equal(
         np.sort(both), np.round(np.arange(5000) * cfg.period_ps).astype(np.int64))
@@ -236,7 +237,8 @@ def test_sample_clicks_splitter_ratios(rng):
                        jitter_sigma_ps=0.0)
     n = np.arange(40)
     pmf = np.exp(-5.0) * 5.0**n / [math.factorial(int(k)) for k in n]
-    times = sample_clicks(click_patterns(_pmf_clicked(pmf), 1, cfg), cfg, rng, cfg.n_pulses)
+    times = sample_clicks(click_patterns(partial(_pmf_clicked, pmf), 1, cfg), cfg, rng,
+                          cfg.n_pulses)
     want = click_expectations(pmf, cfg.splitter)["singles"]
     for t, p in zip(times, want):
         exp = p * cfg.n_pulses
@@ -245,7 +247,7 @@ def test_sample_clicks_splitter_ratios(rng):
 
 def test_sample_clicks_start_pulse_offset():
     cfg = OpticsConfig(eta=1.0, n_pulses=3, splitter=(1.0,), jitter_sigma_ps=0.0)
-    law = click_patterns(_pmf_clicked([0.0, 1.0]), 1, cfg)
+    law = click_patterns(partial(_pmf_clicked, [0.0, 1.0]), 1, cfg)
     t0 = sample_clicks(law, cfg, np.random.default_rng(1), 3)
     t7 = sample_clicks(law, cfg, np.random.default_rng(1), 3, start_pulse=7)
     want = np.round((7 + np.arange(3)) * cfg.period_ps).astype(np.int64)
@@ -445,16 +447,22 @@ def test_generated_pair_source_pattern_frequencies(tmp_path):
     for c in range(4):
         pattern[np.round(tags.channel(c) / optics.period_ps).astype(np.int64)] |= 1 << c
     got = np.bincount(pattern, minlength=16)
-    law = click_patterns(lambda s: _pair_clicked(src.n_bar, s), 2, optics)
+    law = _click_law(src, optics)
     assert law.prob[1:].min() > 1e-3  # every pattern is seen often enough to count
     assert _within_5_sigma(got[0], optics.n_pulses, 1.0 - law.p_click)
     for mask in range(1, 16):
         assert _within_5_sigma(got[mask], optics.n_pulses, law.prob[mask]), mask
-    # the auto and cross pairs of the table are the closed-form expectations
+    # the auto and cross pairs read off the table against the geometric closed
+    # form 1/(1 + n_bar s) of each no-click probability, by inclusion-exclusion
     ref = pair_source_click_expectations(src, optics)
-    masks = np.arange(16)
-    assert law.prob[masks & 0b0011 == 0b0011].sum() == pytest.approx(ref["pair_prob_auto"], rel=1e-12)
-    assert law.prob[masks & 0b0101 == 0b0101].sum() == pytest.approx(ref["pair_prob_cross"], rel=1e-12)
+    q_a, q_b = (optics.eta * f for f in optics.splitter)
+    single_a, single_b = _pair_clicked(src.n_bar, q_a), _pair_clicked(src.n_bar, q_b)
+    auto = single_a + single_b - _pair_clicked(src.n_bar, q_a + q_b)
+    cross = 2.0 * single_a - _pair_clicked(src.n_bar, 1.0 - (1.0 - q_a) ** 2)
+    assert ref["pair_prob_auto"] == pytest.approx(auto, rel=1e-12)
+    assert ref["pair_prob_cross"] == pytest.approx(cross, rel=1e-12)
+    assert ref["g2_auto"] == pytest.approx(auto / (single_a * single_b), rel=1e-12)
+    assert ref["g2_cross"] == pytest.approx(cross / single_a**2, rel=1e-12)
 
 
 def test_click_expectations_poisson_closed_form():
@@ -485,6 +493,14 @@ def test_pair_source_click_reference():
     )
     assert ref["g2_auto"] < 2.0 < ref["g2_cross"] < 3.0
     assert ref["csi_r"] == pytest.approx(2.2153, abs=2e-3)
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.8])
+def test_pair_source_click_expectations_need_two_arms(eta):
+    """One arm per beam has no auto pair, so there is none to report."""
+    with pytest.raises(InvalidParameterError):
+        pair_source_click_expectations(PairSourceConfig(n_bar=1.0),
+                                       OpticsConfig(eta=eta, n_pulses=1, splitter=(1.0,)))
 
 
 def test_pair_source_mc_pair_rates(tmp_path):
