@@ -6,9 +6,12 @@ so a result can always be traced back to the exact inputs that produced it. No
 timestamps go into outputs: rerunning with the same config and seed must
 give byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 convergence
-or truncation error. Each library exception class carries its code as
-``exit_code`` (sqcorr.exceptions).
+Config sections are passed straight to the library's dataclasses, whose
+validate() decides what is valid. Exit codes: 0 success, 2 configuration
+error, 3 data error, 4 convergence or truncation error. Each library exception
+class carries its code as ``exit_code`` (sqcorr.exceptions), and one guard,
+the group class _Guarded, maps every error of the group callback and of each
+subcommand onto it (an OSError onto 3).
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import hashlib
 import json
 import math
 import sys
+import typing
 from pathlib import Path
 
 import click
@@ -32,7 +36,7 @@ from .estimation import (
     read_crossover_csv,
     read_dataset_csv,
 )
-from .exceptions import InvalidParameterError, NoConvergenceError, SqcorrError
+from .exceptions import DataFormatError, InvalidParameterError, NoConvergenceError, SqcorrError
 from .histograms import (
     BIN2D_PER_PERIOD,
     DEFAULT_BIN_PS,
@@ -59,25 +63,16 @@ EXIT_DATA = SqcorrError.exit_code
 EXIT_CONVERGENCE = NoConvergenceError.exit_code
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Guarded(click.Group):
+    """The CLI's one error path: a library error exits with its class's
+    exit_code, an OSError with EXIT_DATA, each after an 'error: ' line."""
 
-
-def _guarded(fn):
-    """Map library exceptions onto the documented exit codes."""
-
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except SqcorrError as e:
-            _fail(e.exit_code, str(e))
-        except OSError as e:
-            _fail(EXIT_DATA, str(e))
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+            return super().invoke(ctx)
+        except (SqcorrError, OSError) as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(e.exit_code if isinstance(e, SqcorrError) else EXIT_DATA)
 
 
 def _load_config(path: str | None) -> tuple[dict, str | None]:
@@ -87,12 +82,10 @@ def _load_config(path: str | None) -> tuple[dict, str | None]:
     try:
         raw = Path(path).read_bytes()
         cfg = json.loads(raw)
-    except OSError as e:
-        _fail(EXIT_CONFIG, f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
-        _fail(EXIT_CONFIG, f"config is not valid JSON: {e}")
+    except (OSError, ValueError) as e:
+        raise InvalidParameterError(f"cannot read config: {e}") from None
     if not isinstance(cfg, dict):
-        _fail(EXIT_CONFIG, "config root must be a JSON object")
+        raise InvalidParameterError("config root must be a JSON object")
     return cfg, hashlib.sha256(raw).hexdigest()
 
 
@@ -117,62 +110,47 @@ def _write_results(ctx: click.Context, command: str, payloads: dict,
             json.dump(payload, f, indent=2, sort_keys=True)
 
 
+def _field(hint, value):
+    """A config value as the dataclass field typed hint takes it. A string that
+    holds a number is converted and a JSON number is kept as given, so outputs
+    record it unchanged; splitter ratios are floats, an alpha [re, im] is
+    complex, and each mode is a section of its own."""
+    if hint == tuple[ModeParams, ...]:
+        return tuple(_section(ModeParams, mode, "mode") for mode in value)
+    if hint == tuple[float, ...]:
+        return tuple(float(p) for p in value)
+    if hint is complex and isinstance(value, list):
+        return complex(*value)
+    if hint in (int, float, complex) and isinstance(value, str):
+        return hint(value)
+    return value
+
+
+def _section(cls, section, where: str):
+    """cls built from a config section's keys and validated; an unknown key,
+    or a value that is not a number where one is needed, is a config error."""
+    try:
+        hints = typing.get_type_hints(cls)
+        obj = cls(**{key: _field(hints.get(key), value)
+                     for key, value in dict(section).items()})
+        obj.validate()
+    except (TypeError, ValueError) as e:
+        raise InvalidParameterError(f"bad {where} config: {e}") from None
+    return obj
+
+
+_SOURCES = {"hyper": HyperParams, "pair": PairSourceConfig, "state": MultimodeState}
+
+
 def _source_from_config(cfg: dict):
-    try:
-        src = cfg["source"]
-        kind = src["kind"]
-        if kind == "hyper":
-            return HyperParams(
-                B=float(src["B"]),
-                mu=float(src["mu"]),
-                alpha=float(src.get("alpha", 0.0)),
-                n_th=float(src.get("n_th", 0.0)),
-                d=int(src.get("d", 50)),
-            )
-        if kind == "pair":
-            return PairSourceConfig(
-                n_bar=float(src["n_bar"]), n_beams=int(src.get("n_beams", 2))
-            )
-        if kind == "state":
-            modes = tuple(
-                ModeParams(
-                    r=float(m.get("r", 0.0)),
-                    theta=float(m.get("theta", 0.0)),
-                    alpha=complex(*m["alpha"]) if isinstance(m.get("alpha"), list)
-                    else complex(m.get("alpha", 0.0)),
-                    n_th=float(m.get("n_th", 0.0)),
-                )
-                for m in src["modes"]
-            )
-            return MultimodeState(modes)
-    except (KeyError, TypeError, ValueError) as e:
-        _fail(EXIT_CONFIG, f"bad source config: {e!r}")
-    _fail(EXIT_CONFIG, f"unknown source kind {src.get('kind')!r}")
+    src = cfg["source"]
+    kind = src.get("kind") if isinstance(src, dict) else None
+    if not isinstance(kind, str) or kind not in _SOURCES:
+        raise InvalidParameterError(f"unknown source kind {kind!r}")
+    return _section(_SOURCES[kind], {k: v for k, v in src.items() if k != "kind"}, "source")
 
 
-_OPTICS_FLOATS = ("eta", "jitter_sigma_ps", "dead_time_ps", "rep_rate_hz")
-
-
-def _optics_from_config(cfg: dict, n_pulses: int | None) -> OpticsConfig:
-    try:
-        opt = dict(cfg["optics"])
-        if n_pulses is not None:
-            opt["n_pulses"] = n_pulses
-        # a number given as a string is converted; a JSON number is kept as
-        # given, so the sidecar records it unchanged
-        if isinstance(opt.get("n_pulses"), str):
-            opt["n_pulses"] = int(opt["n_pulses"])
-        for key in _OPTICS_FLOATS:
-            if key in opt and not isinstance(opt[key], (int, float)):
-                opt[key] = float(opt[key])
-        if "splitter" in opt:
-            opt["splitter"] = tuple(float(p) for p in opt["splitter"])
-        return OpticsConfig(**opt)
-    except (KeyError, TypeError, ValueError) as e:
-        _fail(EXIT_CONFIG, f"bad optics config: {e!r}")
-
-
-@click.group()
+@click.group(cls=_Guarded)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON configuration file.")
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -195,14 +173,16 @@ def main(ctx, config_path, seed, out):
               help="Override the pulse count from the config.")
 @click.option("--csv", "as_csv", is_flag=True, help="Write CSV instead of binary tags.")
 @click.pass_context
-@_guarded
 def simulate(ctx, n_pulses, as_csv):
     """Generate a time-tag stream for the configured source and optics."""
     cfg = ctx.obj["config"]
     if "source" not in cfg or "optics" not in cfg:
-        _fail(EXIT_CONFIG, "config must define 'source' and 'optics' sections")
+        raise InvalidParameterError("config must define 'source' and 'optics' sections")
     source = _source_from_config(cfg)
-    optics = _optics_from_config(cfg, n_pulses)
+    optics = cfg["optics"]
+    if n_pulses is not None and isinstance(optics, dict):
+        optics = {**optics, "n_pulses": n_pulses}
+    optics = _section(OpticsConfig, optics, "optics")
     out = ctx.obj["out"]
     tag_path = out / ("tags.csv" if as_csv else "tags.bin")
     sidecar_path = out / "tags.json"
@@ -229,7 +209,7 @@ def _optics_entry(cfg, key: str, where: str):
     try:
         value = cfg.get("optics", {}).get(key)
     except AttributeError as e:
-        _fail(EXIT_CONFIG, f"bad optics in {where}: {e!r}")
+        raise InvalidParameterError(f"bad optics in {where}: {e!r}") from None
     return None if value is None else (value, where)
 
 
@@ -242,7 +222,7 @@ def _recorded_optics(ctx: click.Context, tagfile: str, key: str):
         try:
             found = _optics_entry(json.loads(sidecar.read_bytes()), key, str(sidecar))
         except (OSError, json.JSONDecodeError) as e:
-            _fail(EXIT_DATA, f"cannot read {sidecar}: {e}")
+            raise DataFormatError(f"cannot read {sidecar}: {e}") from None
     return found
 
 
@@ -253,28 +233,31 @@ def _period_ps(ctx: click.Context, rep_rate_hz: float | None, tagfile: str) -> f
         try:
             rep_rate_hz = DEFAULT_REP_RATE_HZ if found is None else float(found[0])
         except (TypeError, ValueError) as e:
-            _fail(EXIT_CONFIG, f"bad optics in {found[1]}: {e!r}")
+            raise InvalidParameterError(f"bad optics in {found[1]}: {e!r}") from None
     if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0.0):
-        _fail(EXIT_CONFIG, f"rep_rate_hz must be > 0, got {rep_rate_hz}")
+        raise InvalidParameterError(f"rep_rate_hz must be > 0, got {rep_rate_hz}")
     return 1e12 / rep_rate_hz
 
 
 def _arms(ctx: click.Context, arms: int | None, tagfile: str) -> int:
-    """Detectors per beam: the length of the recorded optics.splitter, which
-    --arms must match if both are given; 2 if neither is."""
+    """Detectors per beam, at least 2: the length of the recorded
+    optics.splitter, which --arms must match if both are given; else --arms,
+    else the arms of the default splitter."""
     found = _recorded_optics(ctx, tagfile, "splitter")
-    if found is None:
-        return 2 if arms is None else arms
-    splitter, where = found
-    if not isinstance(splitter, list):
-        _fail(EXIT_CONFIG, f"bad optics in {where}: splitter {splitter!r} is not a list")
-    if arms is not None and arms != len(splitter):
-        _fail(EXIT_CONFIG, f"--arms {arms} disagrees with the {len(splitter)} arms "
-                           f"of optics.splitter in {where}")
-    if len(splitter) < 2:
-        _fail(EXIT_CONFIG, f"csi needs at least 2 arms per beam; optics.splitter in "
-                           f"{where} has {len(splitter)}")
-    return len(splitter)
+    if found is not None:
+        splitter, where = found
+        if not isinstance(splitter, list):
+            raise InvalidParameterError(
+                f"bad optics in {where}: splitter {splitter!r} is not a list")
+        if arms is not None and arms != len(splitter):
+            raise InvalidParameterError(f"--arms {arms} disagrees with the {len(splitter)} "
+                                        f"arms of optics.splitter in {where}")
+        arms = len(splitter)
+    elif arms is None:
+        arms = len(OpticsConfig.splitter)
+    if arms < 2:
+        raise InvalidParameterError(f"csi needs at least 2 arms per beam, got {arms}")
+    return arms
 
 
 def _hist_options(fn):
@@ -292,7 +275,6 @@ def _hist_options(fn):
 @click.option("--bin-ps", type=int, default=DEFAULT_BIN_PS, show_default=True)
 @_hist_options
 @click.pass_context
-@_guarded
 def analyze_g2(ctx, tagfile, channel_a, channel_b, bin_ps, range_ps, rep_rate_hz):
     """Histogram two channels and extract satellite-normalized g2(0)."""
     period = _period_ps(ctx, rep_rate_hz, tagfile)
@@ -316,19 +298,16 @@ def analyze_g2(ctx, tagfile, channel_a, channel_b, bin_ps, range_ps, rep_rate_hz
               help=f"Bin width [default: pulse period / {BIN2D_PER_PERIOD}].")
 @_hist_options
 @click.pass_context
-@_guarded
 def analyze_g3(ctx, tagfile, channel_a, channel_b, channel_c, bin_ps, range_ps,
                rep_rate_hz):
     """2D-histogram three channels and extract g3(0)."""
     period = _period_ps(ctx, rep_rate_hz, tagfile)
-    if bin_ps is None:
-        bin_ps = int(period / BIN2D_PER_PERIOD)
     tags = load_tags(tagfile, channels=(channel_a, channel_b, channel_c))
     hist = coincidence_histogram_3(tags, channel_a, channel_b, channel_c, bin_ps,
                                    range_ps, period_ps=period)
     est = extract_g3(hist, period_ps=period)
     histogram2d_to_csv(hist, ctx.obj["out"] / "g3_histogram.csv")
-    result = {"channels": [channel_a, channel_b, channel_c], "bin_ps": bin_ps,
+    result = {"channels": [channel_a, channel_b, channel_c], "bin_ps": hist.bin_width_ps,
               **est.as_dict()}
     _write_results(ctx, "analyze-g3", {"g3_estimate.json": result}, ("g3_histogram.csv",))
     click.echo(f"g3(0) = {est.value:.4f} +- {est.std_error:.4f} "
@@ -339,18 +318,17 @@ def analyze_g3(ctx, tagfile, channel_a, channel_b, channel_c, bin_ps, range_ps,
 @click.argument("tagfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--beam-i", type=int, default=0, show_default=True)
 @click.option("--beam-j", type=int, default=1, show_default=True)
-@click.option("--arms", type=click.IntRange(min=2), default=None,
+@click.option("--arms", type=int, default=None,
               help="Detectors per beam, at least 2 (beam-major channel layout) "
                    "[default: the length of optics.splitter in the config, else "
                    "in the tags.json next to the tag file, else 2].")
 @click.option("--bin-ps", type=int, default=DEFAULT_BIN_PS, show_default=True)
 @_hist_options
 @click.pass_context
-@_guarded
 def csi(ctx, tagfile, beam_i, beam_j, arms, bin_ps, range_ps, rep_rate_hz):
     """Cauchy-Schwarz test R = g2_ij^2 / (g2_ii g2_jj) between two beams."""
     if beam_i == beam_j:
-        _fail(EXIT_CONFIG, f"--beam-i and --beam-j must differ, both are {beam_i}")
+        raise InvalidParameterError(f"--beam-i and --beam-j must differ, both are {beam_i}")
     period = _period_ps(ctx, rep_rate_hz, tagfile)
     arms = _arms(ctx, arms, tagfile)
     ci, cj = beam_i * arms, beam_j * arms
@@ -378,18 +356,14 @@ def csi(ctx, tagfile, beam_i, beam_j, arms, bin_ps, range_ps, rep_rate_hz):
 @click.option("--d", "d_modes", type=int, default=None,
               help="Mode count of the model curve (default: dataset length).")
 @click.pass_context
-@_guarded
 def fit(ctx, dataset, n_starts, max_evaluations, d_modes):
     """Fit hyperparameters (B, mu, alpha, n_th) to a correlation dataset."""
     data = read_dataset_csv(dataset)
-    cfg = ctx.obj["config"].get("fit", {})
-    bounds = cfg.get("bounds", DEFAULT_BOUNDS)
     try:
+        bounds = ctx.obj["config"].get("fit", {}).get("bounds", DEFAULT_BOUNDS)
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        if len(bounds) != 4:
-            raise ValueError(f"need 4 bound pairs, got {len(bounds)}")
-    except (TypeError, ValueError) as e:
-        _fail(EXIT_CONFIG, f"bad fit bounds: {e}")
+    except (AttributeError, TypeError, ValueError) as e:
+        raise InvalidParameterError(f"bad fit bounds: {e}") from None
     result = fit_parameters(data, bounds=bounds, n_starts=n_starts,
                             max_evaluations=max_evaluations, d=d_modes)
     p = result.params
@@ -410,7 +384,6 @@ def fit(ctx, dataset, n_starts, max_evaluations, d_modes):
 @main.command()
 @click.argument("datafile", type=click.Path(exists=True, dir_okay=False))
 @click.pass_context
-@_guarded
 def crossover(ctx, datafile):
     """Fit the perturbative-to-nonperturbative yield crossover."""
     x, y = read_crossover_csv(datafile)
@@ -431,7 +404,6 @@ def crossover(ctx, datafile):
 
 @main.command()
 @click.pass_context
-@_guarded
 def report(ctx):
     """Summarize the configured hyperparametrized source.
 
@@ -440,11 +412,10 @@ def report(ctx):
     """
     cfg = ctx.obj["config"]
     if "source" not in cfg:
-        _fail(EXIT_CONFIG, "config must define a 'source' section")
+        raise InvalidParameterError("config must define a 'source' section")
     source = _source_from_config(cfg)
     if not isinstance(source, HyperParams):
-        _fail(EXIT_CONFIG, "report requires a source of kind 'hyper'")
-    source.validate()
+        raise InvalidParameterError("report requires a source of kind 'hyper'")
     out = ctx.obj["out"]
 
     lam = mode_weights(source.mu, source.d)

@@ -36,7 +36,6 @@ from .tags import TagStream, write_csv
 DEFAULT_BIN_PS = 100
 DEFAULT_WINDOW_PERIODS = 25
 BIN2D_PER_PERIOD = 26
-DEFAULT_BIN2D_PS = int(LASER_PERIOD_PS / BIN2D_PER_PERIOD)
 DEFAULT_WINDOW2D_PERIODS = 4
 _CHUNK_ANCHORS = 1 << 20
 _BATCH_INDICES = 1 << 16
@@ -275,12 +274,17 @@ def coincidence_histogram_3(
     ch_a: int,
     ch_b: int,
     ch_c: int,
-    bin_width_ps: int = DEFAULT_BIN2D_PS,
+    bin_width_ps: int | None = None,
     range_ps: float | None = None,
     *,
     period_ps: float = LASER_PERIOD_PS,
 ) -> Histogram2D:
-    """2D histogram of (t_b - t_a, t_c - t_a) within +-range_ps (default 4.5 periods)."""
+    """2D histogram of (t_b - t_a, t_c - t_a) within +-range_ps (default 4.5 periods).
+
+    The bin width defaults to int(period_ps / BIN2D_PER_PERIOD).
+    """
+    if bin_width_ps is None:
+        bin_width_ps = int(period_ps / BIN2D_PER_PERIOD)
     _check_args((ch_a, ch_b, ch_c), bin_width_ps, period_ps)
     if range_ps is None:
         range_ps = (DEFAULT_WINDOW2D_PERIODS + 0.5) * period_ps

@@ -289,6 +289,18 @@ def generate_timetags(
     source = source if isinstance(source, PairSourceConfig) else _as_state(source)
     law = _click_law(source, optics)
     n_channels = law.n_channels
+    # the truth comes first: a vacuum state raises here, before any file is written
+    if isinstance(source, PairSourceConfig):
+        described = {"kind": "pair", **asdict(source)}
+        truth = {
+            "g2_auto": 2.0,
+            "g2_cross": 2.0 + 1.0 / source.n_bar,
+            "csi_r": (2.0 + 1.0 / source.n_bar) ** 2 / 4.0,
+        }
+    else:
+        s1, g2, g3 = broadband_moments(source)
+        described = {"kind": "state", "n_modes": len(source.modes)}
+        truth = {"mean_photon": s1, "g2": g2, "g3": g3}
 
     n_blocks = -(-optics.n_pulses // _BLOCK_PULSES)
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
@@ -319,21 +331,9 @@ def generate_timetags(
         "clicks_per_pulse_per_channel": [
             c / optics.n_pulses if optics.n_pulses else 0.0 for c in clicks_total
         ],
+        "source": described,
+        "truth": truth,
     }
-    if isinstance(source, PairSourceConfig):
-        sidecar["source"] = {"kind": "pair", **asdict(source)}
-        sidecar["truth"] = {
-            "g2_auto": 2.0,
-            "g2_cross": 2.0 + 1.0 / source.n_bar,
-            "csi_r": (2.0 + 1.0 / source.n_bar) ** 2 / 4.0,
-        }
-    else:
-        s1, g2, g3 = broadband_moments(source)
-        sidecar["source"] = {
-            "kind": "state",
-            "n_modes": len(source.modes),
-        }
-        sidecar["truth"] = {"mean_photon": s1, "g2": g2, "g3": g3}
     if sidecar_path is not None:
         with open(sidecar_path, "w") as f:
             json.dump(sidecar, f, indent=2, sort_keys=True)

@@ -22,6 +22,7 @@ that oracle and fock's FFT pmf are the tests' certificates, not called here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,8 @@ class HyperParams:
             raise InvalidParameterError(f"B must be >= 0, got {self.B}")
         if self.n_th < 0.0:
             raise InvalidParameterError(f"n_th must be >= 0, got {self.n_th}")
-        if self.d < 1:
-            raise InvalidParameterError(f"d must be >= 1, got {self.d}")
+        if not (isinstance(self.d, numbers.Integral) and self.d >= 1):
+            raise InvalidParameterError(f"d must be an integer >= 1, got {self.d!r}")
 
 
 @dataclass(frozen=True)

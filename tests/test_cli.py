@@ -1,4 +1,5 @@
 """CLI subcommands: outputs, provenance, exit codes."""
+import ast
 import hashlib
 import json
 
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 
 import sqcorr
 from sqcorr import exceptions
-from sqcorr.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA, _guarded, main
+from sqcorr.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA, main
 
 THERMAL_CONFIG = {
     "source": {"kind": "state", "modes": [{"n_th": 0.15}]},
@@ -225,8 +226,9 @@ def test_csi_arms_follow_recorded_layout(runner, tmp_path):
     (out / "tags.json").unlink()
     assert _csi(runner, out, config=config) == (0, three)
     assert _csi(runner, out, "--arms", "2", config=config) == (EXIT_CONFIG, None)
-    # with neither, --arms is taken as given and defaults to 2
+    # with neither, --arms is taken as given, at least 2, and defaults to 2
     assert _csi(runner, out, "--arms", "3") == (0, three)
+    assert _csi(runner, out, "--arms", "1") == (EXIT_CONFIG, None)
     code, two = _csi(runner, out)
     assert code == 0 and two != three
 
@@ -256,6 +258,24 @@ def test_fit_command(runner, tmp_path):
     payload = json.loads((tmp_path / "f" / "fit.json").read_text())
     assert payload["converged"]
     assert payload["params"]["B"] == pytest.approx(0.5, abs=2e-3)
+
+
+@pytest.mark.parametrize("fit", [
+    [0.5],
+    {"bounds": "wide"},
+    {"bounds": [[0.35, 0.65], [0.25, 0.55], [0.05, 0.25]]},
+    {"bounds": [[0.65, 0.35], [0.25, 0.55], [0.05, 0.25], [0.0, 0.05]]},
+], ids=["not-an-object", "not-pairs", "three-pairs", "reversed"])
+def test_bad_fit_bounds_exit_2(runner, tmp_path, fit):
+    data = tmp_path / "data.csv"
+    data.write_text("mean_n,g2,g2_err,g3,g3_err\n"
+                    + "".join(f"{0.1 * k},{1 + 0.5 / k},0.01,{1 + 2 / k},0.05\n"
+                              for k in range(1, 6)))
+    res = runner.invoke(main, ["--config", _write_config(tmp_path, {"fit": fit}),
+                               "--out", str(tmp_path / "f"), "fit", str(data)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert not (tmp_path / "f" / "fit.json").exists()
 
 
 def test_crossover_command(runner, tmp_path):
@@ -384,7 +404,7 @@ def test_16_channels_simulate(runner, tmp_path):
     ({"kind": "pair", "n_bar": float("inf")}, {}),
 ])
 def test_non_finite_optics_or_source_exits_2(runner, tmp_path, source, optics):
-    cfg = {"source": {"kind": "state", "modes": [{"n_th": 0.1}], **source},
+    cfg = {"source": source or {"kind": "state", "modes": [{"n_th": 0.1}]},
            "optics": {"eta": 0.5, "n_pulses": 20000, **optics}}
     res = runner.invoke(main, ["--config", _write_config(tmp_path, cfg),
                                "--out", str(tmp_path / "s"), "simulate"])
@@ -393,11 +413,11 @@ def test_non_finite_optics_or_source_exits_2(runner, tmp_path, source, optics):
 
 
 def test_optics_given_as_strings_are_converted(runner, tmp_path):
-    numeric = {"source": {"kind": "state", "modes": [{"n_th": 0.1}]},
+    numeric = {"source": {"kind": "state", "modes": [{"n_th": 0.1, "alpha": 0.2}]},
                "optics": {"eta": 0.5, "n_pulses": 2000, "jitter_sigma_ps": 40.0,
                           "dead_time_ps": 5000.0, "rep_rate_hz": 2e7}}
-    strings = dict(numeric, optics={key: str(value)
-                                    for key, value in numeric["optics"].items()})
+    strings = {"source": {"kind": "state", "modes": [{"n_th": "0.1", "alpha": "0.2"}]},
+               "optics": {key: str(value) for key, value in numeric["optics"].items()}}
     a = _simulate(runner, tmp_path, cfg=numeric, out="a")
     b = _simulate(runner, tmp_path, cfg=strings, out="b")
     assert (a / "tags.bin").read_bytes() == (b / "tags.bin").read_bytes()
@@ -523,18 +543,144 @@ def test_every_exception_class_is_exported():
     assert defined == set(_EXPORTED_ERRORS)
 
 
+def _command_calls(tmp_path):
+    """Per subcommand: the library call it makes, and its arguments."""
+    data = tmp_path / "in.csv"
+    data.write_text("x\n")
+    config = _write_config(tmp_path, {
+        "source": {"kind": "hyper", "B": 0.5, "mu": 0.4},
+        "optics": {"eta": 0.5, "n_pulses": 1000},
+    })
+    return {
+        "simulate": ("generate_timetags", ["--config", config, "simulate"]),
+        "analyze-g2": ("load_tags", ["analyze-g2", str(data)]),
+        "analyze-g3": ("load_tags", ["analyze-g3", str(data)]),
+        "csi": ("load_tags", ["csi", str(data)]),
+        "fit": ("read_dataset_csv", ["fit", str(data)]),
+        "crossover": ("read_crossover_csv", ["crossover", str(data)]),
+        "report": ("mode_weights", ["--config", config, "report"]),
+    }
+
+
+def _invoke_raising(runner, tmp_path, monkeypatch, command, error):
+    """Run a real subcommand whose library call raises error."""
+    call, args = _command_calls(tmp_path)[command]
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(f"sqcorr.cli.{call}", fail)
+    return runner.invoke(main, ["--out", str(tmp_path / "out"), *args])
+
+
 @pytest.mark.parametrize("name", _EXPORTED_ERRORS)
-def test_exception_exit_code_matches_readme(name):
+def test_exception_exit_code_matches_readme(runner, tmp_path, monkeypatch, name):
     want = _README_EXIT_CODES.get(name, 3)
-
-    @_guarded
-    def command():
-        raise getattr(sqcorr, name)("boom")
-
     assert getattr(sqcorr, name).exit_code == want
-    with pytest.raises(SystemExit) as exc:
-        command()
-    assert exc.value.code == want
+    res = _invoke_raising(runner, tmp_path, monkeypatch, "crossover",
+                          getattr(sqcorr, name)("boom"))
+    assert res.exit_code == want, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "error: boom" in res.output
+
+
+def test_every_command_is_listed(tmp_path):
+    assert set(_command_calls(tmp_path)) == set(main.commands)
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+@pytest.mark.parametrize("error, want", [
+    (exceptions.TruncationError("boom"), 4),
+    (PermissionError("boom"), 3),
+])
+def test_every_command_is_guarded(runner, tmp_path, monkeypatch, command, error, want):
+    """An error in any subcommand reaches the one guard, not a traceback."""
+    res = _invoke_raising(runner, tmp_path, monkeypatch, command, error)
+    assert res.exit_code == want, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "error: boom" in res.output
+
+
+def test_exits_only_in_the_guard():
+    """cli.py calls _fail and sys.exit in the guard class and nowhere else."""
+    tree = ast.parse(open(sqcorr.cli.__file__).read())
+    guard = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "_Guarded"]
+    assert len(guard) == 1
+
+    def exits(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and ast.unparse(call.func) in ("_fail", "sys.exit", "exit")]
+
+    assert len(exits(guard[0])) == 1
+    assert len(exits(tree)) == 1
+
+
+def test_out_under_a_file_exits_3(runner, tmp_path):
+    (tmp_path / "file").write_text("")
+    data = tmp_path / "c.csv"
+    data.write_text("intensity,yield\n1,1\n")
+    res = runner.invoke(main, ["--out", str(tmp_path / "file" / "run"), "crossover",
+                               str(data)])
+    assert res.exit_code == EXIT_DATA, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "error: " in res.output
+
+
+@pytest.mark.parametrize("source", [
+    {"kind": "hyper", "B": 0.5, "mu": 0.4, "n_t": 0.1},
+    {"kind": "pair", "n_bar": 0.5, "nbeams": 3},
+    {"kind": "state", "modes": [{"n_th": 0.1}], "mode": []},
+    {"kind": "state", "modes": [{"n_th": 0.1, "nth": 0.1}]},
+    {"kind": "hyper", "B": 0.5, "mu": 0.4, "d": 12.7},
+    {"kind": "hyper", "B": 0.5, "mu": 0.4, "d": "12.7"},
+    {"kind": "pair", "n_bar": 0.5, "n_beams": 2.9},
+    {"kind": "hyper", "mu": 0.4},
+    {"kind": "state", "modes": 3},
+    {"kind": "pulsed"},
+    ["hyper"],
+], ids=["hyper-key", "pair-key", "state-key", "mode-key", "d", "d-string", "n_beams",
+        "missing-B", "modes-not-a-list", "kind", "not-an-object"])
+def test_bad_source_exits_2(runner, tmp_path, source):
+    """An unknown or missing key, or a fractional count, is refused in every
+    section, not ignored or truncated."""
+    cfg = {"source": source, "optics": {"eta": 0.5, "n_pulses": 2000}}
+    res = runner.invoke(main, ["--config", _write_config(tmp_path, cfg),
+                               "--out", str(tmp_path / "s"), "simulate"])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert not (tmp_path / "s" / "tags.bin").exists()
+
+
+def test_unknown_optics_key_exits_2(runner, tmp_path):
+    cfg = {"source": {"kind": "state", "modes": [{"n_th": 0.1}]},
+           "optics": {"eta": 0.5, "n_pulse": 2000}}
+    res = runner.invoke(main, ["--config", _write_config(tmp_path, cfg),
+                               "--out", str(tmp_path / "s"), "simulate"])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "n_pulse" in res.output
+
+
+def test_source_numbers_are_recorded_as_given(runner, tmp_path):
+    cfg = {"source": {"kind": "hyper", "B": 1, "mu": 0.4, "d": 3}}
+    res = runner.invoke(main, ["--config", _write_config(tmp_path, cfg),
+                               "--out", str(tmp_path / "r"), "report"])
+    assert res.exit_code == 0, res.output
+    text = (tmp_path / "r" / "report.json").read_text()
+    assert '"B": 1,' in text and '"d": 3' in text
+
+
+@pytest.mark.parametrize("source", [
+    {"kind": "state", "modes": [{"n_th": 0.0}]},
+    {"kind": "hyper", "B": 0.0, "mu": 0.4},
+])
+def test_vacuum_source_exits_3_without_tags(runner, tmp_path, source):
+    cfg = {"source": source, "optics": {"eta": 0.5, "n_pulses": 2000}}
+    res = runner.invoke(main, ["--config", _write_config(tmp_path, cfg),
+                               "--out", str(tmp_path / "s"), "simulate"])
+    assert res.exit_code == EXIT_DATA, res.output
+    assert "vacuum" in res.output
+    assert not any((tmp_path / "s").iterdir())
 
 
 def test_short_dataset_exits_3(runner, tmp_path):

@@ -191,6 +191,14 @@ def test_hist2d_counts_triples():
     assert h.counts[k, half] == 49
 
 
+def test_hist2d_default_bin_follows_period():
+    period = 40_000
+    t = np.arange(0, 50, dtype=np.int64) * period
+    h = coincidence_histogram_3(_stream(t, t, t), 0, 1, 2, period_ps=period)
+    assert h.bin_width_ps == 1538  # int(period / histograms.BIN2D_PER_PERIOD)
+    assert h.counts[h.nbins // 2, h.nbins // 2] == 50
+
+
 def test_histogram_csv_round_trip(tmp_path):
     t = np.arange(0, 10**5, 1000, dtype=np.int64)
     h = coincidence_histogram_2(_stream(t, t), 0, 1, 100, 550.0)
