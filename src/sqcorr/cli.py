@@ -15,7 +15,9 @@ subcommand onto it (an OSError onto 3).
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -73,6 +75,30 @@ class _Guarded(click.Group):
         except (SqcorrError, OSError) as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(e.exit_code if isinstance(e, SqcorrError) else EXIT_DATA)
+
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed memory in the process, for reuse by the rest of the command.
+
+    glibc hands every freed array above its mmap threshold, and a free heap
+    top above its trim threshold, back to the kernel, so each histogram would
+    fault its temporaries in again. This serves arrays up to 32 MB from the
+    heap and keeps up to 1 GB of freed heap. Both are set: setting either
+    one turns off glibc's dynamic mmap threshold. Only a
+    command run through main calls this, and the process keeps the policy
+    after it; it does nothing where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def _load_config(path: str | None) -> tuple[dict, str | None]:
@@ -161,6 +187,7 @@ def _source_from_config(cfg: dict):
 @click.pass_context
 def main(ctx, config_path, seed, out):
     """Broadband photon-correlation simulator and analysis pipeline."""
+    _keep_freed_memory()
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config, config_sha256 = _load_config(config_path)
@@ -347,12 +374,19 @@ def csi(ctx, tagfile, beam_i, beam_j, arms, bin_ps, range_ps, rep_rate_hz):
     click.echo(f"R = {res.R:.4f} +- {res.std_error:.4f} (classical bound {verdict})")
 
 
+# fit_parameters holds the one copy of the fit's defaults; fit passes on only
+# the options given
+_FIT_DEFAULTS = inspect.signature(fit_parameters).parameters
+
+
 @main.command()
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
-@click.option("--n-starts", type=int, default=16, show_default=True,
-              help="Grid cells polished, lowest grid-local minima first.")
-@click.option("--max-evaluations", type=int, default=2000, show_default=True,
-              help="Model evaluations each polished start may use.")
+@click.option("--n-starts", type=int, default=None,
+              help="Grid cells polished, lowest grid-local minima first "
+                   f"[default: {_FIT_DEFAULTS['n_starts'].default}].")
+@click.option("--max-evaluations", type=int, default=None,
+              help="Model evaluations each polished start may use "
+                   f"[default: {_FIT_DEFAULTS['max_evaluations'].default}].")
 @click.option("--d", "d_modes", type=int, default=None,
               help="Mode count of the model curve (default: dataset length).")
 @click.pass_context
@@ -364,8 +398,9 @@ def fit(ctx, dataset, n_starts, max_evaluations, d_modes):
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     except (AttributeError, TypeError, ValueError) as e:
         raise InvalidParameterError(f"bad fit bounds: {e}") from None
-    result = fit_parameters(data, bounds=bounds, n_starts=n_starts,
-                            max_evaluations=max_evaluations, d=d_modes)
+    given = {"n_starts": n_starts, "max_evaluations": max_evaluations}
+    result = fit_parameters(data, bounds=bounds, d=d_modes,
+                            **{k: v for k, v in given.items() if v is not None})
     p = result.params
     payload = {
         "params": {"B": p.B, "mu": p.mu, "alpha": p.alpha, "n_th": p.n_th, "d": p.d},

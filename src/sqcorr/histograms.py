@@ -11,15 +11,17 @@ The kernels never list the pairs or triples. One searchsorted finds each
 anchor's first partner at or after t + lo_edge; the kernel then steps
 through partner offsets 0, 1, 2, ..., keeping at each step the anchors whose
 partner at that offset is still in the window (2D: over t1 offsets, and
-inside each over t2 offsets). Working arrays are the size of the anchors,
-and the bin indices of the steps are counted by one bincount per batch of at
-least max(cells, _BATCH_INDICES) indices. So memory is bounded by the
-anchors, the cells and the batch, whatever the number of pairs or triples.
-Anchors are processed in chunks, and split into at least one share per core
-in the process's affinity mask; the shares are binned in parallel
-(sqcorr.parallel). Partial histograms add, so the counts do not depend on
-the chunk size, the batch size or how many cores, and `taskset` limits them.
-The reader holds channels in memory, so anchor chunking alone is exact.
+inside each over t2 offsets). Anchors are split into at least one share per
+core in the process's affinity mask, each at most _CHUNK_ANCHORS long, and
+the shares are binned in parallel (sqcorr.parallel). A share steps its
+anchors in blocks of _BLOCK_ANCHORS into one tally, so working arrays are
+the size of a block of anchors, and the bin indices of the steps are counted
+by one bincount per batch of at least max(cells, _BATCH_INDICES) indices.
+So memory is bounded by the block, the cells and the batch per core,
+whatever the number of anchors, pairs or triples. Partial histograms add, so
+the counts do not depend on the share, block or batch size or how many
+cores, and `taskset` limits them. The reader holds channels in memory, so
+anchor chunking alone is exact.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ DEFAULT_WINDOW_PERIODS = 25
 BIN2D_PER_PERIOD = 26
 DEFAULT_WINDOW2D_PERIODS = 4
 _CHUNK_ANCHORS = 1 << 20
+_BLOCK_ANCHORS = 1 << 17
 _BATCH_INDICES = 1 << 16
 # bins of a 1D histogram and cells of a 2D one, and the window's extent
 MAX_CELLS = 1 << 24
@@ -161,13 +164,20 @@ def _bins(rel: np.ndarray, bin_ps: int, nbins: int) -> np.ndarray:
     return rel
 
 
+def _blocks(anchors: np.ndarray, lo_edge: int):
+    """Window starts of the anchors, _BLOCK_ANCHORS at a time."""
+    for s in range(0, anchors.size, _BLOCK_ANCHORS):
+        yield anchors[s:s + _BLOCK_ANCHORS] + lo_edge
+
+
 def _hist1d(ta: np.ndarray, tb: np.ndarray, bin_ps: int, nbins: int) -> np.ndarray:
     """Counts of delays tb - ta per bin, over every (anchor, partner) pair in the window."""
-    base = ta + _lo_edge(bin_ps, nbins)
+    last = nbins * bin_ps - 1
     # one extra bin takes the dead anchors' partners
     tally = _Tally(nbins + 1)
-    for rel, _ in _offsets(base, np.searchsorted(tb, base), tb, nbins * bin_ps - 1):
-        tally.add(_bins(rel, bin_ps, nbins))
+    for base in _blocks(ta, _lo_edge(bin_ps, nbins)):
+        for rel, _ in _offsets(base, np.searchsorted(tb, base), tb, last):
+            tally.add(_bins(rel, bin_ps, nbins))
     return tally.flush()[:nbins]
 
 
@@ -175,27 +185,33 @@ def _hist2d(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, bin_ps: int,
             nbins: int) -> np.ndarray:
     """Counts of (t1 - t0, t2 - t0) per 2D bin, over every triple in the window."""
     last = nbins * bin_ps - 1
-    base = t0 + _lo_edge(bin_ps, nbins)
-    first2 = np.searchsorted(t2, base)
-    # anchors with no t2 partner form no triple, so their t1 windows are never searched
-    cut = int(np.searchsorted(first2, t2.size))
-    busy = np.flatnonzero(t2.take(first2[:cut]) - base[:cut] <= last)
-    base, first2 = base.take(busy), first2.take(busy)
     # rows of nbins + 1 cells: the last takes the dead anchors' t2 partners
     row_cells = nbins + 1
     tally = _Tally(nbins * row_cells)
-    for rel1, base1, first21 in _offsets(base, np.searchsorted(t1, base), t1, last, first2,
-                                         exact=True):
-        rel1 //= bin_ps
-        rel1 *= row_cells
-        for rel2, _, row in _offsets(base1, first21, t2, last, rel1):
-            k = _bins(rel2, bin_ps, nbins)
-            k += row
-            tally.add(k)
+    for base in _blocks(t0, _lo_edge(bin_ps, nbins)):
+        first2 = np.searchsorted(t2, base)
+        # anchors with no t2 partner form no triple, so their t1 windows are never searched
+        cut = int(np.searchsorted(first2, t2.size))
+        busy = np.flatnonzero(t2.take(first2[:cut]) - base[:cut] <= last)
+        base, first2 = base.take(busy), first2.take(busy)
+        for rel1, base1, first21 in _offsets(base, np.searchsorted(t1, base), t1, last,
+                                             first2, exact=True):
+            rel1 //= bin_ps
+            rel1 *= row_cells
+            for rel2, _, row in _offsets(base1, first21, t2, last, rel1):
+                k = _bins(rel2, bin_ps, nbins)
+                k += row
+                tally.add(k)
     return tally.flush().reshape(nbins, row_cells)[:, :nbins]
 
 
+def _check_period(period_ps: float) -> None:
+    if not (math.isfinite(period_ps) and period_ps > 0):
+        raise InvalidParameterError(f"period must be finite and > 0 ps, got {period_ps}")
+
+
 def _check_args(channels, bin_width_ps: int, period_ps: float) -> None:
+    _check_period(period_ps)
     if len(set(channels)) < len(channels):
         raise InvalidParameterError(f"channels {channels} repeat: a tag would pair with itself")
     if bin_width_ps < 1:
@@ -284,6 +300,7 @@ def coincidence_histogram_3(
     The bin width defaults to int(period_ps / BIN2D_PER_PERIOD).
     """
     if bin_width_ps is None:
+        _check_period(period_ps)
         bin_width_ps = int(period_ps / BIN2D_PER_PERIOD)
     _check_args((ch_a, ch_b, ch_c), bin_width_ps, period_ps)
     if range_ps is None:

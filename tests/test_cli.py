@@ -260,6 +260,26 @@ def test_fit_command(runner, tmp_path):
     assert payload["params"]["B"] == pytest.approx(0.5, abs=2e-3)
 
 
+def test_fit_defaults_are_the_library_defaults(runner, tmp_path):
+    """fit passes on only the options given, so fit_parameters' defaults hold."""
+    from sqcorr import HyperParams, model_curve
+
+    rows = model_curve(HyperParams(B=0.5, mu=0.4, alpha=0.15, n_th=0.01, d=6))
+    data = tmp_path / "data.csv"
+    lines = ["mean_n,g2,g2_err,g3,g3_err"]
+    lines += [f"{float(r[0])!r},{float(r[1])!r},0.01,{float(r[2])!r},0.05" for r in rows]
+    data.write_text("\n".join(lines) + "\n")
+    written = []
+    for flags in ([], ["--n-starts", "16", "--max-evaluations", "2000"]):
+        out = tmp_path / f"f{len(flags)}"
+        res = runner.invoke(main, ["--out", str(out), "fit", str(data), *flags])
+        assert res.exit_code == 0, res.output
+        written.append((out / "fit.json").read_bytes())
+    assert written[0] == written[1]
+    help_text = runner.invoke(main, ["fit", "--help"]).output
+    assert "[default: 16]" in help_text and "[default: 2000]" in help_text
+
+
 @pytest.mark.parametrize("fit", [
     [0.5],
     {"bounds": "wide"},

@@ -174,6 +174,17 @@ def test_bin_width_must_divide_period():
         coincidence_histogram_2(_stream(t, t), 0, 1, bin_width_ps=10_000)
 
 
+@pytest.mark.parametrize("period_ps", [float("nan"), float("inf"), 0.0, -53590.0])
+def test_bad_period_rejected(period_ps):
+    t = np.arange(0, 10**6, 1000, dtype=np.int64)
+    tags = _stream(t, t + 50, t + 90)
+    with pytest.raises(InvalidParameterError, match="period"):
+        coincidence_histogram_2(tags, 0, 1, 100, 5000.0, period_ps=period_ps)
+    for bin_ps in (None, 100):
+        with pytest.raises(InvalidParameterError, match="period"):
+            coincidence_histogram_3(tags, 0, 1, 2, bin_ps, 5000.0, period_ps=period_ps)
+
+
 def test_empty_channel_rejected():
     tags = _stream(np.array([1, 2], dtype=np.int64), np.empty(0, dtype=np.int64))
     with pytest.raises(EmptyChannelError):
@@ -274,6 +285,27 @@ def test_histograms_independent_of_core_count(rng, monkeypatch, chunk):
     for counts1, counts2 in results[1:]:
         np.testing.assert_array_equal(counts1, results[0][0])
         np.testing.assert_array_equal(counts2, results[0][1])
+
+
+@pytest.mark.parametrize("block", [1, 7, 137])
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("batch", [None, 5])
+def test_blocked_kernels_match_brute_force(monkeypatch, block, cores, batch):
+    """Each share steps its anchors in blocks into one tally; a batch of 5
+    indices flushes inside every block."""
+    monkeypatch.setattr(histograms, "_BLOCK_ANCHORS", block)
+    monkeypatch.setattr("sqcorr.parallel._CORES", cores)
+    if batch is not None:
+        monkeypatch.setattr(histograms, "_batch_size", lambda cells: batch)
+    rng = np.random.default_rng(block)
+    t0 = _grid_times(rng, 600, 500)
+    t1 = _grid_times(rng, 800, 500)
+    t2 = _grid_times(rng, 500, 500)
+    counts1 = _hist2(t0, t1, 1000, 27)
+    counts2 = _hist3(t0, t1, t2, 1000, 9)
+    assert counts1.sum() > 0 and counts2.sum() > 0
+    np.testing.assert_array_equal(counts1, _brute_hist1d(t0, t1, 1000, 27))
+    np.testing.assert_array_equal(counts2, _brute_hist2d(t0, t1, t2, 1000, 9))
 
 
 @pytest.mark.parametrize("n_anchors", [1, 2])

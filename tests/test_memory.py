@@ -117,3 +117,25 @@ def test_wide_window_pair_histogram_peak_is_set_by_anchors_not_pairs(monkeypatch
     # measured 1.4 MB; 8 bytes per pair would be 74 MB
     bound = 8 * (8 * n + 4 * cells + 2 * (batch + n)) / MB
     assert peak < bound < pairs * 8 / MB / 20
+
+
+def test_pair_histogram_peak_is_set_by_the_block_not_the_anchors(monkeypatch):
+    # one core, so the one share holds every anchor and steps them in blocks
+    monkeypatch.setattr(parallel, "_CORES", 1)
+    block = 1 << 14
+    monkeypatch.setattr(histograms, "_BLOCK_ANCHORS", block)
+    rng = np.random.default_rng(8)
+    n = 25 * block
+    ta, tb = (np.sort(rng.integers(0, 10**11, n)) for _ in range(2))
+    tags = TagStream(2, np.repeat([0, 1], n), np.concatenate([ta, tb]))
+    hist = []
+    # +-2.5e5 ps windows at 1e5 ps bins: 5 bins, about 2 partners per anchor
+    peak = _traced_peak(lambda: hist.append(
+        coincidence_histogram_2(tags, 0, 1, 10**5, 2.5 * 10**5, period_ps=10**6)))
+    cells = hist[0].nbins
+    batch = histograms._batch_size(cells)
+    assert hist[0].counts.sum() > n
+    # block-sized working arrays, the cells and the bincount batch; an
+    # unblocked share held several arrays of 8 bytes per anchor
+    bound = 8 * (8 * block + 4 * cells + 2 * (batch + block)) / MB
+    assert peak < bound < n * 8 / MB
